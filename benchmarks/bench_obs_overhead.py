@@ -11,8 +11,9 @@ This benchmark pins that contract down three ways:
 
 - a no-op ``span()`` round trip costs nanoseconds (microbenchmark);
 - a real workload — the batched link simulation — runs with the no-op
-  tracer and with a recording tracer; the *enabled* overhead is reported
-  and the disabled run must record zero spans and zero metrics;
+  tracer and with a recording tracer plus a telemetry hub; the *enabled*
+  overhead is reported and the disabled run must record zero spans and
+  zero metrics;
 - the disabled/enabled ratio is bounded: if the no-op path ever grows a
   hidden allocation, the ratio guard fails the build.
 
@@ -33,12 +34,11 @@ from conftest import write_bench_json
 from repro.mccdma.engine import LinkEngineConfig, LinkSimulationEngine
 from repro.mccdma.transmitter import MCCDMAConfig
 from repro.obs import (
-    MetricsRegistry,
     NOOP_TRACER,
     Tracer,
-    get_metrics,
+    get_telemetry,
     get_tracer,
-    use_metrics,
+    use_telemetry,
     use_tracer,
 )
 
@@ -98,13 +98,13 @@ def test_observability_overhead_guard():
     # Workload with the default no-op tracer: no spans may be recorded.
     disabled_s = _time_link_point(REPEATS)
     assert not get_tracer().enabled
+    assert get_telemetry() is None  # and no hub: nothing records metrics
 
     tracer = Tracer()
-    registry = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry):
+    with use_tracer(tracer), use_telemetry() as hub:
         enabled_s = _time_link_point(REPEATS)
     assert tracer.spans, "enabled run must record spans"
-    assert registry.counter("link.frames_total").value > 0
+    assert hub.store("run").total("link.frames_total") > 0
 
     overhead_pct = 100.0 * (enabled_s - disabled_s) / disabled_s
     payload = {

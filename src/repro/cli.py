@@ -38,14 +38,15 @@ from repro.flows import (
     table1_report,
 )
 from repro.obs import (
-    MetricsRegistry,
+    Telemetry,
     Tracer,
     build_manifest,
+    get_telemetry,
     get_tracer,
     manifest_path_for,
     render_region_gantt,
     render_region_gantt_svg,
-    use_metrics,
+    use_telemetry,
     use_tracer,
     validate_trace_file,
     write_chrome_trace,
@@ -449,7 +450,6 @@ def _cmd_search(args, out) -> int:
     from repro.dfg.library import default_library
     from repro.fabric.device import device_by_name
     from repro.flows.designspace import search_multiregion
-    from repro.obs import get_metrics, record_search_stats
 
     try:
         device = device_by_name(args.device)
@@ -469,7 +469,16 @@ def _cmd_search(args, out) -> int:
         max_regions=args.max_regions,
         jobs=args.jobs,
     )
-    record_search_stats(get_metrics(), report.result)
+    hub = get_telemetry()
+    if hub is not None:
+        result = report.result
+        totals = hub.store("run")
+        totals.counter_add("search.evaluations", 0, result.evaluations)
+        totals.counter_add("search.accepted", 0, result.accepted)
+        totals.counter_add("search.improved", 0, result.improved)
+        totals.gauge_set("search.best_total_ns", 0, result.best_cost.total_ns)
+        totals.gauge_set("search.best_makespan_ns", 0, result.best_cost.makespan_ns)
+        totals.gauge_set("search.violations", 0, len(result.best_cost.violations))
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
     else:
@@ -516,7 +525,7 @@ def _redraw(out, text: str) -> None:
 
 def _cmd_fleet(args, out) -> int:
     """Multiplex a fleet of boards on one kernel; frontier across policies."""
-    from repro.obs import get_metrics, record_fleet_stats, spans_from_sim_trace
+    from repro.obs import spans_from_sim_trace
     from repro.runtime import FleetConfig, generate_fleet_schedules, run_fleet
 
     tracer = get_tracer()
@@ -544,12 +553,18 @@ def _cmd_fleet(args, out) -> int:
     schedules = generate_fleet_schedules(base)
     store = monitor = None
     slo_rules = _fleet_slo_rules(args)
-    want_telemetry = args.live or args.telemetry is not None or bool(slo_rules)
-    if want_telemetry:
-        from repro.obs.dashboard import render_dashboard
-        from repro.obs.telemetry import SloMonitor, TimeSeriesStore
+    hub = get_telemetry()
+    if hub is not None:
+        # an installed hub (--trace) gets the fleet's sim-clock series too
+        store = hub.store("sim", window=args.telemetry_window)
+    elif args.live or args.telemetry is not None or slo_rules:
+        from repro.obs.telemetry import TimeSeriesStore
 
         store = TimeSeriesStore(window=args.telemetry_window, clock="sim")
+    if store is not None:
+        from repro.obs.dashboard import render_dashboard
+        from repro.obs.telemetry import SloMonitor
+
         monitor = SloMonitor(store, slo_rules)
     breaches: list = []
     reports = {}
@@ -565,7 +580,13 @@ def _cmd_fleet(args, out) -> int:
                 tracer.add_spans(
                     spans_from_sim_trace(board_trace, parent=span.context)
                 )
-            record_fleet_stats(get_metrics(), report, prefix=f"fleet.{name}")
+        if hub is not None:
+            totals = hub.store("run")
+            for key, count in report.totals.items():
+                totals.counter_add(f"fleet.{name}.{key}", 0, count)
+            totals.counter_add(f"fleet.{name}.total_requests", 0, report.total_requests)
+            totals.gauge_set(f"fleet.{name}.boards", 0, report.n_boards)
+            totals.gauge_set(f"fleet.{name}.end_time_ns", 0, report.end_time_ns)
         reports[name] = report
         if monitor is not None:
             breaches.extend(monitor.evaluate())
@@ -1056,28 +1077,29 @@ _COMMANDS = {
 
 
 def _run_traced(args, out, raw_argv: list[str]) -> int:
-    """Run the command inside a fresh tracer + metrics registry, then export.
+    """Run the command inside a fresh tracer + telemetry hub, then export.
 
-    The trace (Chrome trace-event JSON) and its run manifest (argv, git
-    revision, seed, metrics snapshot) are written even when the command
-    fails — a failing run is exactly the one worth inspecting.
+    The trace (Chrome trace-event JSON, one counter lane per hub store) and
+    its run manifest (argv, git revision, seed, the hub's run totals) are
+    written even when the command fails — a failing run is exactly the one
+    worth inspecting.
     """
     trace_path = pathlib.Path(args.trace)
     tracer = Tracer()
-    registry = MetricsRegistry()
+    hub = Telemetry()
     try:
-        with use_tracer(tracer), use_metrics(registry):
+        with use_tracer(tracer), use_telemetry(hub):
             code = _COMMANDS[args.command](args, out)
     finally:
         write_chrome_trace(
             trace_path, tracer.spans,
             metadata={"trace_id": tracer.trace_id, "command": args.command},
-            counters=registry,
+            telemetry=hub,
         )
         manifest = build_manifest(
             argv=["repro", *raw_argv],
             seed=getattr(args, "seed", None),
-            metrics=registry.snapshot(),
+            metrics=hub.store("run").snapshot(),
             extra={"command": args.command, "trace_file": str(trace_path)},
         )
         manifest_path = write_manifest(manifest_path_for(trace_path), manifest)

@@ -5,13 +5,12 @@ multi-process workload: picklable :class:`~repro.exec.worker.SweepJob`
 records are sharded across spawn workers by the
 :class:`~repro.exec.engine.ParallelSweepEngine`, all sharing one on-disk
 :class:`~repro.flows.pipeline.ArtifactCache` made safe for concurrency by
-the primitives in :mod:`repro.exec.locks`.  Progress streams back through
-:mod:`repro.exec.events` into the ordinary flow-observer layer.
+the primitives in :mod:`repro.exec.locks`.  Progress streams back as
+ordinary ``sweep:<kind>`` :class:`~repro.flows.observe.FlowEvent` records
+into the flow-observer layer.
 
 - :mod:`repro.exec.locks` — advisory file locks + atomic write-rename
   (imported by :mod:`repro.flows.pipeline`; no ``repro`` dependencies);
-- :mod:`repro.exec.events` — :class:`SweepEvent` lifecycle records that
-  convert to :class:`~repro.flows.observe.FlowEvent`;
 - :mod:`repro.exec.worker` — the worker process loop and the picklable job
   description;
 - :mod:`repro.exec.pool` — the persistent :class:`WorkerPool` of warm,
@@ -22,15 +21,13 @@ the primitives in :mod:`repro.exec.locks`.  Progress streams back through
 """
 
 from repro.exec.locks import FileLock, atomic_write_bytes
-from repro.exec.events import SweepEvent, SWEEP_EVENT_KINDS
 from repro.exec.worker import SweepJob, run_job, resolve_entrypoint
 from repro.exec.pool import WorkerPool, PoolWorker
-from repro.exec.engine import ParallelSweepEngine, SweepJobResult, SweepReport
+from repro.exec.engine import SWEEP_EVENT_KINDS, ParallelSweepEngine, SweepJobResult, SweepReport
 
 __all__ = [
     "FileLock",
     "atomic_write_bytes",
-    "SweepEvent",
     "SWEEP_EVENT_KINDS",
     "SweepJob",
     "run_job",

@@ -33,10 +33,14 @@ The engine owns the scheduler:
   and the pool stays warm (dead workers are respawned).
 
 Every worker streams its pipeline stage events and job lifecycle messages
-back over its result pipe; the engine forwards them (and its own
-:class:`~repro.exec.events.SweepEvent` records) to one
-:class:`~repro.flows.observe.FlowObserver`, so ``--profile`` and
+back over its result pipe; the engine forwards them, plus its own
+lifecycle steps as ``sweep:<kind>`` :class:`~repro.flows.observe.FlowEvent`
+records (one per job dispatched/started/finished/retried/timed out/failed,
+per worker spawned/crashed, and one summary when the sweep completes), to
+one :class:`~repro.flows.observe.FlowObserver`, so ``--profile`` and
 ``--log-json`` cover parallel runs exactly as they cover serial ones.
+Traced workers also ship their telemetry hub's rows, which the engine
+folds into the ambient hub.
 
 Worker pipes are deliberately one-per-worker (no shared queue): killing a
 hung worker can then never corrupt or deadlock a lock shared with its
@@ -55,15 +59,31 @@ from pathlib import Path
 from time import monotonic, perf_counter, time_ns
 from typing import Any, Optional, Sequence
 
-from repro.exec.events import SweepEvent
 from repro.exec.pool import PoolWorker, WorkerPool
 from repro.exec.worker import SweepJob, run_job
 from repro.flows.observe import FlowEvent, FlowObserver, LoggingObserver
 from repro.flows.pipeline import ArtifactCache
-from repro.obs import NOOP_TRACER, get_metrics, get_tracer
-from repro.obs.telemetry import get_telemetry
+from repro.obs import NOOP_TRACER, get_tracer
+from repro.obs.telemetry import get_telemetry, store_row
 
-__all__ = ["SweepJobResult", "SweepReport", "ParallelSweepEngine"]
+__all__ = ["SWEEP_EVENT_KINDS", "SweepJobResult", "SweepReport", "ParallelSweepEngine"]
+
+#: Every lifecycle kind the engine narrates (as ``sweep:<kind>`` events).
+SWEEP_EVENT_KINDS = (
+    "job_dispatched",
+    "job_started",
+    "job_finished",
+    "job_failed",
+    "job_retried",
+    "job_timeout",
+    "worker_spawned",
+    "worker_respawned",
+    "worker_crashed",
+    "worker_stopped",
+    "pool_reused",
+    "cache_warning",
+    "sweep_completed",
+)
 
 
 @dataclass
@@ -263,8 +283,36 @@ class ParallelSweepEngine:
         self._events.append(event)
         self.observer.on_event(event)
 
-    def _emit(self, kind: str, **kwargs) -> None:
-        self._emit_flow(SweepEvent(kind=kind, sweep=self.sweep_name, **kwargs).to_flow_event())
+    def _emit(
+        self,
+        kind: str,
+        job: str = "",
+        worker: Optional[int] = None,
+        attempt: int = 0,
+        wall_time_s: float = 0.0,
+        detail: str = "",
+        metrics: Optional[dict] = None,
+    ) -> None:
+        """One ``sweep:<kind>`` lifecycle event for the observer."""
+        if kind not in SWEEP_EVENT_KINDS:
+            raise ValueError(f"unknown sweep event kind {kind!r}")
+        metrics = dict(metrics or {})
+        if worker is not None:
+            metrics.setdefault("worker", worker)
+        if attempt:
+            metrics.setdefault("attempt", attempt)
+        if detail:
+            metrics.setdefault("detail", detail)
+        self._emit_flow(
+            FlowEvent(
+                flow=f"{self.sweep_name}/{job}" if job else self.sweep_name,
+                stage=f"sweep:{kind}",
+                cache_hit=False,
+                wall_time_s=wall_time_s,
+                fingerprint="",
+                metrics=metrics,
+            )
+        )
 
     # -- serial fallback --------------------------------------------------------
 
@@ -579,7 +627,10 @@ class ParallelSweepEngine:
                 elif kind == "spans":
                     tracer.add_spans(message[2])
                 elif kind == "metrics":
-                    get_metrics().merge_snapshot(message[2])
+                    if hub is not None:
+                        for row in message[2]:
+                            if not row.get("meta"):
+                                store_row(hub.store(row["domain"]), row)
                 elif kind == "done":
                     _, job_id, payload, wall = message
                     entry = handle.queue.popleft()
@@ -667,9 +718,11 @@ class ParallelSweepEngine:
                 ("cache_lookups", report.cache_lookups()),
             ):
                 self._sweep_span.set_attribute(key, value)
-            registry = get_metrics()
-            registry.counter("sweep.jobs_total").inc(len(report.results))
-            registry.counter("sweep.jobs_failed").inc(len(report.failed))
+        hub = get_telemetry()
+        if hub is not None:
+            totals = hub.store("run")
+            totals.counter_add("sweep.jobs_total", 0, len(report.results))
+            totals.counter_add("sweep.jobs_failed", 0, len(report.failed))
         self._sweep_span.end()
         report.events = list(self._events)
         return report

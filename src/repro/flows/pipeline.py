@@ -450,13 +450,16 @@ class FlowPipeline:
 
         When a recording tracer is installed (:func:`repro.obs.get_tracer`),
         the run becomes a ``flow:`` span with one ``stage:`` child span per
-        stage and the stage/cache traffic is counted into the ambient
-        metrics registry.  The :class:`FlowEvent` stream is unchanged either
-        way — tracing wraps the events, it never rewrites them.
+        stage; when a telemetry hub is installed
+        (:func:`repro.obs.get_telemetry`), stage counts, cache traffic,
+        wall times and numeric stage metrics go into its ``run`` store.
+        The :class:`FlowEvent` stream is unchanged either way — tracing
+        wraps the events, it never rewrites them.
         """
-        from repro.obs import get_metrics, get_tracer
+        from repro.obs import get_telemetry, get_tracer
 
         tracer = get_tracer()
+        hub = get_telemetry()
         artifacts: dict[str, Any] = {}
         with tracer.span(f"flow:{self.flow_name}"):
             for stage in self.stages:
@@ -488,15 +491,21 @@ class FlowPipeline:
                     stage_span.set_attribute("fingerprint", key[:16])
                     for name, value in event.metrics.items():
                         stage_span.set_attribute(f"metric.{name}", value)
-                    registry = get_metrics()
-                    registry.counter("flow.stages_total").inc()
-                    registry.counter(
-                        "flow.stage_cache_hits" if hit else "flow.stage_cache_misses"
-                    ).inc()
-                    registry.histogram("flow.stage_seconds").observe(wall_time_s)
-                    # Numeric stage metrics (e.g. the adequation stages'
-                    # SchedulerStats placement accounting) become counters.
-                    registry.record_counts(f"stage.{stage.name}", event.metrics)
+                if hub is not None:
+                    totals = hub.store("run")
+                    totals.counter_add("flow.stages_total", 0)
+                    totals.counter_add(
+                        "flow.stage_cache_hits" if hit else "flow.stage_cache_misses", 0
+                    )
+                    totals.observe("flow.stage_seconds", 0, wall_time_s)
+                    # Numeric stage metrics (makespan, clock, the scheduler's
+                    # placement accounting) are per-run values: a sketch
+                    # keeps their count, sum and exact min/max, never a
+                    # meaningless running total of clock frequencies.
+                    for name, value in event.metrics.items():
+                        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+                        if numeric and 0 <= value < float("inf"):
+                            totals.observe(f"stage.{stage.name}.{name}", 0, value)
                 stage_span.end()
                 self.events.append(event)
                 self.observer.on_event(event)

@@ -41,7 +41,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.flows.observe import FlowEvent, FlowObserver
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_telemetry, get_tracer
 from repro.mccdma.adaptive import AdaptiveModulationController
 from repro.mccdma.channel import AWGNChannel
 from repro.mccdma.modulation import Modulation
@@ -418,9 +418,11 @@ class LinkSimulationEngine:
             run_span.set_attribute("ber", result.ber)
             run_span.set_attribute("switches", result.switches)
             run_span.set_attribute("early_stopped", stopped_early)
-            registry = get_metrics()
-            registry.counter("link.frames_total").inc(result.n_frames)
-            registry.counter("link.error_bits_total").inc(result.error_bits)
+        hub = get_telemetry()
+        if hub is not None:
+            totals = hub.store("run")
+            totals.counter_add("link.frames_total", 0, result.n_frames)
+            totals.counter_add("link.error_bits_total", 0, result.error_bits)
         run_span.end()
         return result
 

@@ -1,9 +1,11 @@
-"""Unified observability: hierarchical tracing, metrics and exporters.
+"""Unified observability: hierarchical tracing, one telemetry hub, exporters.
 
 The flow spans many cooperating layers — the staged pipeline, the parallel
 sweep engine and its spawn workers, the adequation schedulers and the
 runtime reconfiguration manager running on the discrete-event kernel.  This
-package gives them one tracing/metrics vocabulary:
+package gives them one vocabulary: spans for the structure of a run, and
+one numeric substrate — the ambient :class:`Telemetry` hub — for its
+numbers, whether whole-run totals or windowed series.
 
 - :mod:`repro.obs.tracer` — trace-id/span-id/parent-id spans with attribute
   bags; a zero-cost no-op tracer is the ambient default
@@ -11,23 +13,21 @@ package gives them one tracing/metrics vocabulary:
   run (:func:`use_tracer`).  :class:`SpanContext` pickles cleanly so the
   sweep engine propagates it over worker pipes and worker stage spans
   parent under their job span across the process boundary.
-- :mod:`repro.obs.metrics` — counters, gauges and fixed-boundary histograms
-  with deterministic snapshots (:func:`get_metrics` / :func:`use_metrics`).
-- :mod:`repro.obs.bridge` — re-bases the sim kernel's virtual-time trace
-  onto the same span model and feeds the pre-existing stat bags
-  (``SchedulerStats``, ``ManagerStats``/``ReconfigStats``, ``CacheStats``)
-  into the registry.
-- :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable,
-  including ``ph:"C"`` counter tracks from metrics snapshots and windowed
-  telemetry stores), the Fig. 4 per-region residency Gantt (text and SVG)
-  and run manifests.
-- :mod:`repro.obs.validate` — the trace-schema validator CI gates on.
 - :mod:`repro.obs.telemetry` — streaming dimensionally-labeled time-series
   (:class:`TimeSeriesStore`: windowed counters/gauges/quantile sketches
   keyed by label sets) and declarative SLO rules
-  (:class:`SloRule`/:class:`SloMonitor`) with typed breach events; the
-  ambient :class:`Telemetry` hub (:func:`get_telemetry`/:func:`use_telemetry`)
-  is what the engines write through.
+  (:class:`SloRule`/:class:`SloMonitor`) with typed breach events.  The
+  ambient :class:`Telemetry` hub (:func:`get_telemetry`/:func:`use_telemetry`,
+  ``None`` unless a run installs one — ``--trace`` does) is where every
+  layer writes its numbers: run totals into the single-window ``run``
+  store, windowed series into the ``sim``/``wall``/``search`` stores.
+- :mod:`repro.obs.bridge` — re-bases the sim kernel's virtual-time trace
+  onto the same span model.
+- :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable,
+  including ``ph:"C"`` counter tracks, one lane per hub store), the Fig. 4
+  per-region residency Gantt (text and SVG) and run manifests whose
+  ``metrics`` block is the hub's run totals.
+- :mod:`repro.obs.validate` — the trace-schema validator CI gates on.
 - :mod:`repro.obs.sketch` — the mergeable DDSketch-style
   :class:`QuantileSketch` behind quantile series, plus the
   :class:`ExactQuantiles` test reference.
@@ -49,29 +49,10 @@ from repro.obs.tracer import (
     set_tracer,
     use_tracer,
 )
-from repro.obs.metrics import (
-    STAGE_SECONDS_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_metrics,
-    set_metrics,
-    use_metrics,
-)
-from repro.obs.bridge import (
-    record_cache_stats,
-    record_config_service_stats,
-    record_fleet_stats,
-    record_manager_stats,
-    record_scheduler_stats,
-    record_search_stats,
-    spans_from_sim_trace,
-)
+from repro.obs.bridge import spans_from_sim_trace
 from repro.obs.export import (
     build_manifest,
     chrome_trace,
-    counter_events_from_snapshot,
     counter_events_from_store,
     manifest_path_for,
     region_timeline,
@@ -118,20 +99,6 @@ __all__ = [
     "new_trace_id",
     "set_tracer",
     "use_tracer",
-    "STAGE_SECONDS_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_metrics",
-    "set_metrics",
-    "use_metrics",
-    "record_cache_stats",
-    "record_config_service_stats",
-    "record_fleet_stats",
-    "record_manager_stats",
-    "record_scheduler_stats",
-    "record_search_stats",
     "spans_from_sim_trace",
     "build_manifest",
     "chrome_trace",
@@ -143,7 +110,6 @@ __all__ = [
     "write_manifest",
     "validate_chrome_trace",
     "validate_trace_file",
-    "counter_events_from_snapshot",
     "counter_events_from_store",
     "DEFAULT_RELATIVE_ACCURACY",
     "ExactQuantiles",

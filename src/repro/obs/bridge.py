@@ -1,16 +1,12 @@
-"""Bridges between the observability layer and the repo's older islands.
+"""Bridge from the discrete-event kernel's trace onto the unified span model.
 
-- :func:`spans_from_sim_trace` re-bases the discrete-event kernel's
-  :class:`repro.sim.Trace` spans onto the unified tracer model: every sim
-  :class:`repro.sim.Span` becomes an :class:`repro.obs.Span` in the
-  ``"sim"`` clock domain (virtual nanoseconds), parented under a given span
-  context so runtime-simulation activity hangs off the flow/job that ran it.
-- ``record_*_stats`` feed the pre-existing counter bags —
-  :class:`~repro.aaa.scheduler.SchedulerStats`,
-  :class:`~repro.reconfig.manager.ManagerStats` (a.k.a. ``ReconfigStats``),
-  :class:`~repro.flows.pipeline.CacheStats` and the
-  :class:`~repro.executive.interpreter.FixedLatencyConfigService` counters —
-  into a :class:`~repro.obs.metrics.MetricsRegistry`.
+:func:`spans_from_sim_trace` re-bases the kernel's :class:`repro.sim.Trace`
+spans onto the tracer model: every sim :class:`repro.sim.Span` becomes an
+:class:`repro.obs.Span` in the ``"sim"`` clock domain (virtual
+nanoseconds), parented under a given span context so runtime-simulation
+activity hangs off the flow/job that ran it.  Numbers need no bridge: the
+layers that own them write straight into the ambient
+:class:`~repro.obs.telemetry.Telemetry` hub.
 """
 
 from __future__ import annotations
@@ -18,19 +14,9 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Span, SpanContext, new_trace_id
 
-__all__ = [
-    "spans_from_sim_trace",
-    "record_trace_telemetry",
-    "record_scheduler_stats",
-    "record_manager_stats",
-    "record_fleet_stats",
-    "record_cache_stats",
-    "record_config_service_stats",
-    "record_search_stats",
-]
+__all__ = ["spans_from_sim_trace"]
 
 _BRIDGE_SEQ = itertools.count(1)
 
@@ -87,110 +73,3 @@ def spans_from_sim_trace(
             )
         )
     return out
-
-
-def record_trace_telemetry(store, trace, **labels) -> int:
-    """Windowed telemetry from a (closed) sim-kernel trace.
-
-    This is the DES kernel's road into the time-series layer: the kernel
-    already records everything as :class:`repro.sim.Trace` spans, so
-    instead of hooking the manager's hot path we fold the trace's load and
-    residency intervals into a sim-clock
-    :class:`~repro.obs.telemetry.TimeSeriesStore` after the run:
-
-    - ``fleet.loads`` — counter per window of load *starts*, labeled by
-      span kind (``load`` = demand, ``prefetch`` = speculative);
-    - ``fleet.reconfig_ns`` — quantile sketch of load durations (the p99
-      reconfiguration-latency SLO input), window of the start time;
-    - ``fleet.port_busy_ns`` — configuration-port occupancy attributed to
-      the window the transfer started in.
-
-    Extra ``labels`` (typically ``policy=...``) apply to every series.
-    Returns the number of spans folded in.  Close the trace first
-    (``trace.close_open``) — open spans have no duration yet.
-    """
-    folded = 0
-    for span in trace.spans:
-        if span.kind not in ("load", "prefetch"):
-            continue
-        duration = span.duration
-        store.counter_add("fleet.loads", span.start, 1, kind=span.kind, **labels)
-        store.observe("fleet.reconfig_ns", span.start, duration, **labels)
-        store.counter_add("fleet.port_busy_ns", span.start, duration, **labels)
-        folded += 1
-    return folded
-
-
-def record_scheduler_stats(registry: MetricsRegistry, stats, prefix: str = "scheduler") -> None:
-    """Feed :class:`~repro.aaa.scheduler.SchedulerStats` (or its dict) in."""
-    payload = stats.to_dict() if hasattr(stats, "to_dict") else dict(stats)
-    registry.record_counts(prefix, payload)
-
-
-def record_manager_stats(registry: MetricsRegistry, stats, prefix: str = "reconfig") -> None:
-    """Feed :class:`~repro.reconfig.manager.ManagerStats` counters in.
-
-    ``to_dict`` is :func:`dataclasses.asdict`-backed, so new counters flow
-    into the registry without this bridge having to enumerate them.
-    """
-    registry.record_counts(prefix, stats.to_dict())
-
-
-def record_fleet_stats(registry: MetricsRegistry, report, prefix: str = "fleet") -> None:
-    """Feed a :class:`~repro.runtime.fleet.FleetReport`'s aggregate totals in."""
-    registry.record_counts(prefix, dict(report.totals))
-    registry.record_counts(
-        prefix,
-        {
-            "boards": report.n_boards,
-            "total_requests": report.total_requests,
-            "end_time_ns": report.end_time_ns,
-        },
-    )
-
-
-def record_cache_stats(registry: MetricsRegistry, stats, prefix: str = "cache") -> None:
-    """Feed :class:`~repro.flows.pipeline.CacheStats` counters in."""
-    registry.record_counts(
-        prefix,
-        {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "stores": stats.stores,
-            "evictions": stats.evictions,
-            "corruptions": stats.corruptions,
-        },
-    )
-
-
-def record_config_service_stats(registry: MetricsRegistry, service, prefix: str = "configsvc") -> None:
-    """Feed :class:`~repro.executive.interpreter.FixedLatencyConfigService` counters in."""
-    registry.record_counts(
-        prefix,
-        {
-            "swap_count": service.swap_count,
-            "stall_ns": service.stall_ns,
-            "hints_seen": service.hints_seen,
-            "prefetch_starts": service.prefetch_starts,
-        },
-    )
-
-
-def record_search_stats(registry: MetricsRegistry, result, prefix: str = "search") -> None:
-    """Feed a :class:`~repro.search.anneal.SearchResult`'s counters in.
-
-    The driver already bumps the ambient ``search.*`` counters as it runs;
-    this records a *finished* result into an arbitrary registry (the traced
-    CLI path uses it so the manifest carries the run's totals).
-    """
-    registry.record_counts(
-        prefix,
-        {
-            "evaluations": result.evaluations,
-            "accepted": result.accepted,
-            "improved": result.improved,
-            "best_total_ns": result.best_cost.total_ns,
-            "best_makespan_ns": result.best_cost.makespan_ns,
-            "violations": len(result.best_cost.violations),
-        },
-    )

@@ -10,18 +10,20 @@ Three consumers of one span list:
   (:mod:`repro.obs.validate`) can check it.  Wall-clock spans and
   virtual-time (``clock="sim"``) spans are kept on separate process lanes:
   their clocks are unrelated, and Perfetto renders named lanes side by side.
-  Numeric instruments ride along as ``"C"`` counter-track events:
-  :func:`counter_events_from_snapshot` stamps a
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshot (counters and gauges)
-  at one instant, and :func:`counter_events_from_store` unrolls a windowed
+  The run's numbers ride along as ``"C"`` counter-track events:
+  :func:`counter_events_from_store` unrolls a windowed
   :class:`~repro.obs.telemetry.TimeSeriesStore` into one counter sample per
-  window so hit rates and p99 latencies render as graphs under the span
-  lanes.  ``chrome_trace(..., counters=..., telemetry=...)`` folds both in.
+  window, so hit rates and p99 latencies render as graphs under the span
+  lanes.  ``chrome_trace(..., telemetry=hub)`` gives every store of a
+  :class:`~repro.obs.telemetry.Telemetry` hub its own lane — the
+  single-window ``run`` totals as one sample each, the fleet's ``sim``
+  series per simulated window, the worker pool's ``wall`` series on the
+  span lanes' time axis.
 - :func:`render_region_gantt` / :func:`render_region_gantt_svg` — the
   paper's Fig. 4 view: module residency per dynamic region over virtual
   time, with reconfiguration/prefetch intervals overlaid.
 - :func:`build_manifest` / :func:`write_manifest` — the run manifest
-  (argv, git revision, seed, metric snapshot) that makes a trace file
+  (argv, git revision, seed, the hub's run totals) that makes a trace file
   self-describing.
 """
 
@@ -34,12 +36,12 @@ import time
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
+from repro.obs.telemetry import Telemetry, label_suffix
 from repro.obs.tracer import Span
 
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "counter_events_from_snapshot",
     "counter_events_from_store",
     "region_timeline",
     "render_region_gantt",
@@ -71,40 +73,6 @@ def _process_label(span: Span) -> str:
     return span.process if span.clock == "wall" else f"{span.process} [sim time]"
 
 
-def _metrics_snapshot(registry_or_snapshot: Any) -> Mapping[str, Mapping]:
-    if hasattr(registry_or_snapshot, "snapshot"):
-        return registry_or_snapshot.snapshot()
-    return dict(registry_or_snapshot)
-
-
-def counter_events_from_snapshot(
-    registry_or_snapshot: Any, ts_us: float = 0.0, pid: int = 0
-) -> list[dict]:
-    """One ``"C"`` counter event per counter/gauge instrument, at one instant.
-
-    A registry snapshot is a point-in-time total, so each instrument gets a
-    single sample stamped at ``ts_us`` (callers usually pass the trace's end
-    time).  Histograms are skipped — a bucket vector is not a counter track.
-    """
-    snapshot = _metrics_snapshot(registry_or_snapshot)
-    events: list[dict] = []
-    for name in sorted(snapshot):
-        payload = snapshot[name]
-        if payload.get("type") not in ("counter", "gauge"):
-            continue
-        events.append(
-            {
-                "name": name,
-                "ph": "C",
-                "ts": ts_us,
-                "pid": pid,
-                "tid": 0,
-                "args": {"value": payload.get("value", 0)},
-            }
-        )
-    return events
-
-
 def counter_events_from_store(
     store: Any, pid: int = 0, quantiles: Sequence[float] = (0.5, 0.99)
 ) -> list[dict]:
@@ -122,7 +90,7 @@ def counter_events_from_store(
         kind = store.kind(name)
         for label_set in store.label_sets(name):
             labels = dict(label_set)
-            suffix = "{" + ",".join(f"{k}={v}" for k, v in label_set) + "}" if label_set else ""
+            suffix = label_suffix(label_set)
             for window, value in store.series(name, **labels):
                 ts_us = store.window_bounds(window)[0] / 1e3
                 if kind in ("counter", "gauge"):
@@ -166,27 +134,27 @@ def counter_events_from_store(
 def chrome_trace(
     spans: Sequence[Span],
     metadata: Optional[Mapping[str, Any]] = None,
-    counters: Optional[Any] = None,
-    telemetry: Optional[Any] = None,
+    telemetry: Optional[Telemetry] = None,
 ) -> dict:
     """The spans as a Chrome trace-event JSON object (Perfetto-loadable).
 
-    ``counters`` (a :class:`~repro.obs.metrics.MetricsRegistry` or its
-    snapshot) adds a ``metrics`` process lane of point-in-time counter
-    tracks stamped at the last wall-span end; ``telemetry`` (a sim-clock
-    :class:`~repro.obs.telemetry.TimeSeriesStore`) adds a windowed
-    ``telemetry [sim time]`` counter lane next to the sim span lanes.
+    ``telemetry`` (a :class:`~repro.obs.telemetry.Telemetry` hub) adds one
+    counter lane per non-empty store: ``telemetry [sim time]`` for the
+    sim-clock store, next to the sim span lanes, and
+    ``telemetry [<domain>]`` for the others.  Wall-clock stores are shifted
+    onto the wall spans' time origin.
     """
     pids, tids = _lane_maps(spans)
     wall_starts = [s.start_ns for s in spans if s.clock == "wall"]
     wall_origin = min(wall_starts) if wall_starts else 0
-    counter_lanes: list[tuple[str, Any]] = []
-    if counters is not None:
-        counter_lanes.append(("metrics", counters))
-    if telemetry is not None:
-        counter_lanes.append(("telemetry [sim time]", telemetry))
+    counter_lanes = []
+    for domain in telemetry.domains() if telemetry is not None else ():
+        store = telemetry.store(domain)
+        if len(store):
+            label = "sim time" if store.clock == "sim" else domain
+            counter_lanes.append((f"telemetry [{label}]", store))
     next_pid = len(pids)
-    for label, _source in counter_lanes:
+    for label, _store in counter_lanes:
         next_pid += 1
         pids[label] = next_pid
     events: list[dict] = []
@@ -225,12 +193,12 @@ def chrome_trace(
                 "args": args,
             }
         )
-    if counters is not None:
-        wall_ends = [s.end_ns for s in spans if s.clock == "wall"]
-        ts_us = (max(wall_ends) - wall_origin) / 1e3 if wall_ends else 0.0
-        events.extend(counter_events_from_snapshot(counters, ts_us=ts_us, pid=pids["metrics"]))
-    if telemetry is not None:
-        events.extend(counter_events_from_store(telemetry, pid=pids["telemetry [sim time]"]))
+    for label, store in counter_lanes:
+        counter_events = counter_events_from_store(store, pid=pids[label])
+        if store.clock == "wall":
+            for event in counter_events:
+                event["ts"] = max(0.0, event["ts"] - wall_origin / 1e3)
+        events.extend(counter_events)
     payload: dict[str, Any] = {"traceEvents": events, "displayTimeUnit": "ms"}
     if metadata:
         payload["metadata"] = dict(metadata)
@@ -241,12 +209,11 @@ def write_chrome_trace(
     path: "str | Path",
     spans: Sequence[Span],
     metadata: Optional[Mapping[str, Any]] = None,
-    counters: Optional[Any] = None,
-    telemetry: Optional[Any] = None,
+    telemetry: Optional[Telemetry] = None,
 ) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = chrome_trace(spans, metadata, counters=counters, telemetry=telemetry)
+    payload = chrome_trace(spans, metadata, telemetry=telemetry)
     path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
     return path
 

@@ -1,10 +1,9 @@
-"""Streaming, dimensionally-labeled time-series telemetry.
+"""Streaming, dimensionally-labeled time-series: the run's one numeric substrate.
 
-The metrics registry (:mod:`repro.obs.metrics`) answers *how much happened
-over the whole run*; this layer answers *how the run evolved* — hit rate
-per 50 ms of simulated time, p99 stall latency per window, worker-pool
-queue depth over the wall clock — at a memory cost bounded by the window
-count, not the event count.
+Every number a run reports lives here — whole-run totals and the windowed
+views of how the run evolved (hit rate per 50 ms of simulated time, p99
+stall latency per window, worker-pool queue depth over the wall clock) —
+at a memory cost bounded by the window count, not the event count.
 
 Three pieces:
 
@@ -29,6 +28,13 @@ Three pieces:
   (:func:`get_telemetry` / :func:`use_telemetry`).  The default ambient is
   ``None``: telemetry is strictly opt-in and instrumentation sites guard
   with one ``is None`` check, so the disabled cost is a dict lookup.
+  The ``run`` domain is a single-window store holding the run's totals —
+  counts as counters, point-in-time values as gauges, wall times as sketch
+  observations, all written at ``t=0`` — and its :meth:`~TimeSeriesStore.snapshot`
+  is the ``metrics`` block of a ``--trace`` run manifest.  Traced pool
+  workers ship their hub's :meth:`Telemetry.to_rows` back to the sweep
+  engine, which folds them in with :func:`store_row`, so run totals and
+  windowed series share one merge path across processes.
 
 Label cardinality is the operator's responsibility: series are cheap per
 label *set*, so label by policy, region, pool or worker — never by request
@@ -51,6 +57,7 @@ from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "LabelSet",
+    "label_suffix",
     "TimeSeriesStore",
     "SloRule",
     "SloBreach",
@@ -76,6 +83,13 @@ _KINDS = ("counter", "gauge", "quantile")
 
 def _label_set(labels: Mapping[str, object]) -> LabelSet:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+
+
+def label_suffix(label_set: LabelSet) -> str:
+    """The ``{k=v,...}`` suffix naming a labeled series ("" when unlabeled)."""
+    if not label_set:
+        return ""
+    return "{" + ",".join(f"{k}={v}" for k, v in label_set) + "}"
 
 
 @dataclass
@@ -472,6 +486,36 @@ class TimeSeriesStore:
         self._drain(stored)
         return sum(stored.windows.values())
 
+    def snapshot(self) -> dict:
+        """Every series reduced over its retained windows, sorted by name.
+
+        Counters sum, gauges report the latest window's value and quantile
+        series merge into one sketch summary: count, sum, exact min/max and
+        p50/p95/p99 clamped into ``[min, max]`` (so a series of equal
+        values reads exactly).  Labeled series are keyed ``name{k=v,...}``.
+        On the hub's single-window ``run`` store this is the run manifest's
+        ``metrics`` block.
+        """
+        self._drain_all()
+        out: dict[str, dict] = {}
+        for (name, label_set), series in sorted(self._series.items()):
+            if not series.windows:
+                continue
+            values = [series.windows[w] for w in sorted(series.windows)]
+            if series.kind == "counter":
+                entry = {"type": "counter", "value": sum(values)}
+            elif series.kind == "gauge":
+                entry = {"type": "gauge", "value": values[-1]}
+            else:
+                merged = QuantileSketch(self.sketch_accuracy)
+                for sketch in values:
+                    merged.merge(sketch)
+                entry = {"type": "quantile", **merged.summary()}
+                for q in ("p50", "p95", "p99"):
+                    entry[q] = min(max(entry[q], merged.min), merged.max)
+            out[name + label_suffix(label_set)] = entry
+        return out
+
     def __len__(self) -> int:
         return len(self._series)
 
@@ -837,6 +881,7 @@ DEFAULT_WINDOWS = {
     "sim": 50_000_000,      # 50 ms of simulated time
     "wall": 250_000_000,    # 250 ms of wall clock
     "search": 50,           # 50 evaluations
+    "run": 1 << 62,         # one window: whole-run totals, written at t=0
 }
 
 
@@ -847,7 +892,8 @@ class Telemetry:
     nanoseconds, the worker pool on the wall clock, the annealer on its
     evaluation counter — so the hub keys stores by domain name and creates
     them on first use with :data:`DEFAULT_WINDOWS` widths (overridable via
-    ``windows``).
+    ``windows``).  The ``run`` domain's one window holds the run totals
+    every layer writes (``hub.store("run").counter_add(name, 0, n)``).
     """
 
     def __init__(self, windows: Optional[Mapping[str, int]] = None, retention: int = 512):

@@ -17,8 +17,9 @@ Two engines produce that outcome:
   schedules against array-state cores (or an exact scalar micro-simulator
   for speculative policies), reproducing per-board counters and
   ``end_time_ns`` exactly: ``FleetReport.digest()`` is identical across
-  engines.  With ``trace_boards > 0`` the first boards still run through a
-  kernel subset so their trace lanes keep full event fidelity.
+  engines.  It computes counters and telemetry for every board; with
+  ``trace_boards > 0`` the first boards additionally replay on a kernel
+  subset that only produces their trace lanes.
 
 ``run_frontier`` replays the *same* seeded traffic against several policy
 bundles — schedules are generated once and shared across policies, since
@@ -432,10 +433,10 @@ def run_fleet(
 
     ``telemetry`` is an optional sim-clock
     :class:`~repro.obs.telemetry.TimeSeriesStore`: the fast engine records
-    windowed per-policy hit/stall/port series through
+    windowed per-policy hit/stall/port series for every board through
     :class:`FleetTelemetryRecorder` (flushed per step-batch, digest parity
-    untouched), and any kernel-run traced boards contribute load-latency
-    and residency series via the obs trace bridge.
+    untouched), so tracing never changes them.  The kernel engine records
+    none.
     """
     get_bundle(config.policy)  # fail fast on unknown names
     engine = engine if engine is not None else config.engine
@@ -457,23 +458,20 @@ def run_fleet(
         end_time_ns = sim.now
         open_traces = [board.trace for board in boards if board.trace is not None]
     else:
-        traced = min(config.trace_boards, config.n_boards)
-        traced_boards: list[Board] = []
-        traced_end = 0
-        if traced:
-            traced_boards, traced_sim = _run_kernel_boards(
-                config, arch, schedules[:traced]
-            )
-            traced_end = traced_sim.now
         recorder = FleetTelemetryRecorder() if telemetry is not None else None
-        fast_rows, fast_ends, engine_stats = simulate_fast_fleet(
-            config, schedules[traced:], arch, recorder=recorder
+        per_board, fast_ends, engine_stats = simulate_fast_fleet(
+            config, schedules, arch, recorder=recorder
         )
         if recorder is not None:
             recorder.flush(telemetry, policy=config.policy, n_boards=config.n_boards)
-        per_board = [board.stats.to_dict() for board in traced_boards] + fast_rows
-        end_time_ns = max([traced_end, *fast_ends]) if (traced or fast_ends) else 0
-        open_traces = [b.trace for b in traced_boards if b.trace is not None]
+        end_time_ns = max(fast_ends, default=0)
+        # The per-engine parity tests pin the fast counters to the kernel's,
+        # so the traced subset replays on the kernel only for its lanes.
+        traced = min(config.trace_boards, config.n_boards)
+        open_traces = []
+        if traced:
+            traced_boards, _ = _run_kernel_boards(config, arch, schedules[:traced])
+            open_traces = [b.trace for b in traced_boards if b.trace is not None]
     wall_s = time.perf_counter() - t0
     totals: dict[str, int] = {}
     for stats in per_board:
@@ -483,11 +481,6 @@ def run_fleet(
     for trace in open_traces:
         trace.close_open(end_time_ns)
         traces.append(trace)
-    if telemetry is not None and traces:
-        from repro.obs.bridge import record_trace_telemetry
-
-        for trace in traces:
-            record_trace_telemetry(telemetry, trace, policy=config.policy)
     return FleetReport(
         policy=config.policy,
         traffic=config.traffic,

@@ -31,7 +31,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.obs import get_metrics, get_tracer
+from repro.obs import get_tracer
 from repro.obs.telemetry import get_telemetry
 from repro.search.objective import CostBreakdown, CostEvaluator
 from repro.search.space import SearchSpace, SearchState
@@ -158,16 +158,13 @@ def _restart_rngs(config: SearchConfig) -> list[np.random.Generator]:
 
 
 class _Run:
-    """Shared bookkeeping: budget, best-so-far, trajectory, obs counters.
+    """Shared bookkeeping: budget, best-so-far, trajectory, counts.
 
-    When an ambient telemetry hub is installed, the run also streams
-    windowed series over the *evaluation index* axis (the ``search``
-    domain): ``search.evaluations`` / ``search.accepted`` /
-    ``search.improved`` counters and a ``search.cost_ns`` sketch of
-    candidate costs — acceptance and improvement *rates per evaluation
-    window* are then ratio SLOs, and a stalled search (acceptance collapse
-    under a cold temperature) is visible as the series flatlining rather
-    than as a single end-of-run total.
+    When an ambient telemetry hub is installed, the run streams a
+    ``search.cost_ns`` sketch of candidate costs over the *evaluation
+    index* axis (the ``search`` domain): a converging search shows as the
+    windowed cost quantiles settling.  The run's counts are facts of the
+    finished :class:`SearchResult` (``repro search`` records them once).
     """
 
     def __init__(self, method: str, evaluator: CostEvaluator, config: SearchConfig):
@@ -196,27 +193,13 @@ class _Run:
             self.improved += 1
             self.trajectory.append((self.evaluations, cost.total_ns))
         if self._tstore is not None:
-            t = self.evaluations
-            self._tstore.counter_add("search.evaluations", t, 1, method=self.method)
-            self._tstore.observe("search.cost_ns", t, cost.total_ns, method=self.method)
-            if improved:
-                self._tstore.counter_add("search.improved", t, 1, method=self.method)
-        return cost
-
-    def accept(self) -> None:
-        """One accepted move (the telemetry-aware ``accepted += 1``)."""
-        self.accepted += 1
-        if self._tstore is not None:
-            self._tstore.counter_add(
-                "search.accepted", self.evaluations, 1, method=self.method
+            self._tstore.observe(
+                "search.cost_ns", self.evaluations, cost.total_ns, method=self.method
             )
+        return cost
 
     def result(self) -> SearchResult:
         assert self.best_state is not None and self.best_cost is not None
-        metrics = get_metrics()
-        metrics.counter("search.evaluations").inc(self.evaluations)
-        metrics.counter("search.accepted").inc(self.accepted)
-        metrics.counter("search.improved").inc(self.improved)
         return SearchResult(
             method=self.method,
             best_state=self.best_state,
@@ -272,7 +255,7 @@ def anneal(
                         -delta / max(temperature, config.min_temperature)
                     ):
                         current, current_cost = candidate, cost
-                        run.accept()
+                        run.accepted += 1
                     temperature = max(config.min_temperature, temperature * config.cooling)
     return run.result()
 
@@ -302,7 +285,7 @@ def greedy(
                     cost = run.evaluate(candidate)
                     if cost.total_ns < current_cost.total_ns:
                         current, current_cost = candidate, cost
-                        run.accept()
+                        run.accepted += 1
                         stale = 0
                     else:
                         stale += 1

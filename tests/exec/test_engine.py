@@ -17,7 +17,7 @@ import dataclasses
 import pytest
 
 from repro.dfg.library import default_library
-from repro.exec import ParallelSweepEngine, SweepEvent
+from repro.exec import ParallelSweepEngine
 from repro.fabric.device import XC2V1000
 from repro.flows import RecordingObserver, parse_constraints, sweep_jobs_for_grid
 from repro.mccdma.casestudy import build_mccdma_graph
@@ -80,14 +80,17 @@ def test_empty_sweep_completes():
 
 
 def test_sweep_event_kind_is_validated():
+    recorder = RecordingObserver()
+    engine = ParallelSweepEngine(jobs=0, observer=recorder, sweep_name="s")
+    engine._events = []
     with pytest.raises(ValueError, match="unknown sweep event kind"):
-        SweepEvent(kind="not_a_kind")
-    event = SweepEvent(kind="job_finished", job="j1", worker=3, attempt=2, detail="x")
-    flow_event = event.to_flow_event()
+        engine._emit("not_a_kind")
+    engine._emit("job_finished", job="j1", worker=3, attempt=2, detail="x")
+    (flow_event,) = recorder.events
     assert flow_event.stage == "sweep:job_finished"
-    assert flow_event.flow.endswith("/j1")
-    assert flow_event.metrics["worker"] == 3
-    assert flow_event.metrics["attempt"] == 2
+    assert flow_event.flow == "s/j1"
+    assert flow_event.metrics == {"worker": 3, "attempt": 2, "detail": "x"}
+    assert not flow_event.cache_hit and flow_event.fingerprint == ""
 
 
 # -- serial in-process mode (jobs=0) ------------------------------------------------

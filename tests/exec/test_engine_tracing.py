@@ -3,8 +3,8 @@
 The acceptance property of the observability layer: one traced
 ``ParallelSweepEngine`` run yields a *single* span tree — worker-side stage
 spans parent (transitively) under the job span the engine opened, worker
-metrics merge into the ambient registry, and the exported file passes the
-Chrome-trace validator.
+run totals merge into the ambient telemetry hub, and the exported file
+passes the Chrome-trace validator.
 """
 
 import dataclasses
@@ -15,10 +15,9 @@ from repro.fabric.device import XC2V1000, XC2V2000
 from repro.flows import parse_constraints, sweep_jobs_for_grid
 from repro.mccdma.casestudy import build_mccdma_graph
 from repro.obs import (
-    MetricsRegistry,
     Tracer,
     chrome_trace,
-    use_metrics,
+    use_telemetry,
     use_tracer,
     validate_chrome_trace,
 )
@@ -57,10 +56,9 @@ def grid_jobs(devices=(XC2V1000,), simulate=0):
 
 def run_traced(jobs, n_workers):
     tracer = Tracer()
-    registry = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry):
+    with use_tracer(tracer), use_telemetry() as hub:
         report = ParallelSweepEngine(jobs=n_workers, sweep_name="traced").run(jobs)
-    return report, tracer, registry
+    return report, tracer, hub
 
 
 def ancestors(span, by_id):
@@ -75,7 +73,7 @@ def ancestors(span, by_id):
 
 def test_parallel_sweep_produces_single_connected_trace():
     jobs = grid_jobs((XC2V1000, XC2V2000), simulate=4)
-    report, tracer, registry = run_traced(jobs, 2)
+    report, tracer, hub = run_traced(jobs, 2)
     assert not report.failed
 
     spans = tracer.spans
@@ -97,14 +95,14 @@ def test_parallel_sweep_produces_single_connected_trace():
     assert load_spans
     assert {s.attributes["region"] for s in load_spans} == {"D1"}
 
-    # Worker metrics crossed the pipe and merged into the ambient registry.
-    snapshot = registry.snapshot()
+    # Worker run totals crossed the pipe and merged into the ambient hub.
+    snapshot = hub.store("run").snapshot()
     assert snapshot["flow.stages_total"]["value"] >= len(jobs) * 6
     assert "reconfig.demand_requests" in snapshot
     assert snapshot["sweep.jobs_total"]["value"] == len(jobs)
 
-    # The exported Chrome trace passes the CI validator.
-    assert validate_chrome_trace(chrome_trace(spans)) == []
+    # The exported Chrome trace, counter lanes included, passes the CI validator.
+    assert validate_chrome_trace(chrome_trace(spans, telemetry=hub)) == []
 
 
 def test_serial_sweep_traces_without_workers():

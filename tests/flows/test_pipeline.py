@@ -289,6 +289,30 @@ def test_jsonl_observer_writes_one_event_per_stage(tmp_path):
         assert len(event["fingerprint"]) == 64
 
 
+def test_stage_metrics_record_numeric_values_as_sketches():
+    """With a telemetry hub installed, each numeric stage metric becomes one
+    sketch observation per run (a clock frequency is never summed into a
+    counter); strings, booleans and negatives are skipped."""
+    from repro.flows.pipeline import FlowPipeline, Stage
+    from repro.obs import use_telemetry
+
+    metrics = {"loads": 3, "name": "D1", "flag": True, "delta": -2, "clock_mhz": 66.0}
+    stage = Stage("s", lambda _: "key", lambda _: "artefact", lambda _: metrics)
+    with use_telemetry() as hub:
+        for _ in range(2):
+            FlowPipeline([stage], observer=RecordingObserver()).run()
+    snapshot = hub.store("run").snapshot()
+    assert sorted(k for k in snapshot if k.startswith("stage.")) == [
+        "stage.s.clock_mhz", "stage.s.loads",
+    ]
+    clock = snapshot["stage.s.clock_mhz"]
+    assert clock["type"] == "quantile" and clock["count"] == 2
+    assert clock["min"] == clock["max"] == clock["p50"] == 66.0
+    assert snapshot["flow.stages_total"] == {"type": "counter", "value": 2}
+    assert snapshot["flow.stage_cache_misses"] == {"type": "counter", "value": 2}
+    assert snapshot["flow.stage_seconds"]["count"] == 2
+
+
 def test_flow_result_to_dict_is_json_safe():
     result = case_study_flow().run()
     payload = json.loads(json.dumps(result.to_dict()))

@@ -60,6 +60,24 @@ def test_startup_loading_still_swaps_on_change(startup_flow):
     assert result.switches == 1  # only the QPSK -> QAM-16 swap
 
 
+def test_runtime_simulation_feeds_manager_stats_into_run_totals(startup_flow):
+    """Under a telemetry hub every ``ManagerStats`` counter lands in the run
+    totals as ``reconfig.<name>`` — zero-valued ones too (an explicit zero
+    beats absence in a manifest)."""
+    from repro.obs import use_telemetry
+
+    plan = [Modulation.QPSK] * 3 + [Modulation.QAM16] * 3
+    with use_telemetry() as hub:
+        result = SystemSimulation(
+            startup_flow, n_iterations=len(plan),
+            selector_values={"modulation": lambda it: plan[it]},
+        ).run()
+    snapshot = hub.store("run").snapshot()
+    for name, count in result.manager_stats.to_dict().items():
+        assert snapshot[f"reconfig.{name}"] == {"type": "counter", "value": count}
+    assert snapshot["reconfig.crc_failures"]["value"] == 0
+
+
 def test_preload_guards():
     sim = Simulator()
     store = BitstreamStore()

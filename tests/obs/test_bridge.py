@@ -1,15 +1,6 @@
-"""Bridging the sim kernel's trace and legacy stat bags into the obs layer."""
+"""Bridging the sim kernel's trace into the obs span model."""
 
-from repro.obs import (
-    MetricsRegistry,
-    SpanContext,
-    record_cache_stats,
-    record_config_service_stats,
-    record_manager_stats,
-    record_scheduler_stats,
-    spans_from_sim_trace,
-)
-from repro.reconfig.manager import ManagerStats
+from repro.obs import SpanContext, spans_from_sim_trace
 from repro.sim import Trace
 
 
@@ -56,41 +47,3 @@ def test_bridge_span_ids_unique_across_calls():
     second = spans_from_sim_trace(trace)
     ids = {s.context.span_id for s in first} | {s.context.span_id for s in second}
     assert len(ids) == 6
-
-
-def test_record_manager_stats_feeds_counters():
-    registry = MetricsRegistry()
-    stats = ManagerStats(demand_requests=4, demand_loads=2, prefetch_loads=1,
-                         useful_prefetches=1, stall_ns=12_345)
-    record_manager_stats(registry, stats)
-    snapshot = registry.snapshot()
-    assert snapshot["reconfig.demand_loads"]["value"] == 2
-    assert snapshot["reconfig.useful_prefetches"]["value"] == 1
-    assert snapshot["reconfig.stall_ns"]["value"] == 12_345
-    # zero-valued counters still register (explicit zero beats absence)
-    assert snapshot["reconfig.crc_failures"]["value"] == 0
-
-
-def test_record_scheduler_stats_accepts_mappings():
-    registry = MetricsRegistry()
-    record_scheduler_stats(registry, {"placements_evaluated": 10, "label": "x"})
-    assert registry.snapshot() == {
-        "scheduler.placements_evaluated": {"type": "counter", "value": 10}
-    }
-
-
-class _Cache:
-    hits, misses, stores, evictions, corruptions = 3, 1, 4, 0, 0
-
-
-class _Service:
-    swap_count, stall_ns, hints_seen, prefetch_starts = 2, 500, 6, 2
-
-
-def test_record_cache_and_service_stats():
-    registry = MetricsRegistry()
-    record_cache_stats(registry, _Cache())
-    record_config_service_stats(registry, _Service())
-    snapshot = registry.snapshot()
-    assert snapshot["cache.hits"]["value"] == 3
-    assert snapshot["configsvc.swap_count"]["value"] == 2

@@ -161,19 +161,6 @@ def test_manifest_contents_and_sibling_path(tmp_path):
 # -- counter tracks ----------------------------------------------------------
 
 
-def test_counter_events_from_snapshot_samples_counters_and_gauges():
-    from repro.obs import MetricsRegistry, counter_events_from_snapshot
-
-    registry = MetricsRegistry()
-    registry.counter("jobs").inc(3)
-    registry.gauge("depth").set(2)
-    registry.histogram("t").observe(0.5)  # not a counter track
-    events = counter_events_from_snapshot(registry, ts_us=42.0, pid=7)
-    assert [e["name"] for e in events] == ["depth", "jobs"]
-    assert all(e["ph"] == "C" and e["ts"] == 42.0 and e["pid"] == 7 for e in events)
-    assert events[1]["args"] == {"value": 3}
-
-
 def test_counter_events_from_store_unrolls_windows_and_quantiles():
     import numpy as np
 
@@ -202,22 +189,37 @@ def test_counter_events_from_store_unrolls_windows_and_quantiles():
 def test_chrome_trace_carries_counter_lanes_and_validates(tmp_path):
     import numpy as np
 
-    from repro.obs import MetricsRegistry, TimeSeriesStore
+    from repro.obs import Telemetry
 
-    registry = MetricsRegistry()
-    registry.counter("jobs").inc(1)
-    store = TimeSeriesStore(window=1_000)
+    hub = Telemetry()
+    hub.store("run").counter_add("jobs", 0, 1)
+    store = hub.store("sim", window=1_000)
     store.counter_add_array("fleet.demands", np.asarray([10, 2_000]), policy="lru")
-    payload = chrome_trace(_sample_spans(), counters=registry, telemetry=store)
+    hub.store("search")  # an empty store gets no lane
+    payload = chrome_trace(_sample_spans(), telemetry=hub)
     counters = [e for e in payload["traceEvents"] if e["ph"] == "C"]
-    assert {e["name"] for e in counters} >= {"jobs", "fleet.demands{policy=lru}"}
+    assert {e["name"] for e in counters} == {"jobs", "fleet.demands{policy=lru}"}
     lanes = {e["args"]["name"] for e in payload["traceEvents"]
              if e["ph"] == "M" and e["name"] == "process_name"}
-    assert "telemetry [sim time]" in lanes
+    assert {"telemetry [sim time]", "telemetry [run]"} <= lanes
+    assert "telemetry [search]" not in lanes
     assert validate_chrome_trace(payload) == []
     path = tmp_path / "trace.json"
-    write_chrome_trace(path, _sample_spans(), counters=registry, telemetry=store)
+    write_chrome_trace(path, _sample_spans(), telemetry=hub)
     assert validate_trace_file(path) == []
+
+
+def test_wall_clock_counter_lane_shares_the_span_time_origin():
+    from repro.obs import Telemetry
+
+    spans = _sample_spans()
+    origin = min(s.start_ns for s in spans if s.clock == "wall")
+    hub = Telemetry(windows={"wall": 1_000})
+    hub.store("wall").counter_add("exec.jobs_done", origin + 5_000, pool="p")
+    payload = chrome_trace(spans, telemetry=hub)
+    (event,) = [e for e in payload["traceEvents"] if e["ph"] == "C"]
+    assert event["ts"] == 5.0  # rebased like the wall spans, in microseconds
+    assert validate_chrome_trace(payload) == []
 
 
 def test_validator_rejects_malformed_counter_events():

@@ -1,165 +1,157 @@
-"""Metrics registry: instruments, snapshots, cross-process merging."""
+"""Run totals: the telemetry hub's single-window ``run`` store.
+
+Every layer writes its whole-run numbers into ``hub.store("run")`` at
+``t=0``; the store's :meth:`snapshot` is the ``--trace`` manifest's
+``metrics`` block, and traced pool workers' totals fold in through the
+same ``to_rows``/``store_row`` path the windowed series use.
+"""
 
 import pytest
 
-from repro.obs import (
-    MetricsRegistry,
-    STAGE_SECONDS_BUCKETS,
-    get_metrics,
-    set_metrics,
-    use_metrics,
-)
+from repro.obs import Telemetry, get_telemetry, use_telemetry
+from repro.obs.telemetry import store_row
+
+
+def _fold(hub, rows):
+    """What the sweep engine does with a traced worker's rows."""
+    for row in rows:
+        if not row.get("meta"):
+            store_row(hub.store(row["domain"]), row)
+
+
+def _worker_rows(jobs, depth, sample):
+    hub = Telemetry()
+    totals = hub.store("run")
+    totals.counter_add("jobs", 0, jobs)
+    totals.gauge_set("depth", 0, depth)
+    totals.observe("t", 0, sample)
+    return hub.to_rows()
 
 
 def test_counter_accumulates_and_rejects_negative():
-    registry = MetricsRegistry()
-    counter = registry.counter("jobs")
-    counter.inc()
-    counter.inc(4)
-    assert registry.counter("jobs") is counter  # get-or-create
-    assert counter.value == 5
+    totals = Telemetry().store("run")
+    totals.counter_add("jobs", 0)
+    totals.counter_add("jobs", 0, 4)
+    assert totals.snapshot()["jobs"] == {"type": "counter", "value": 5}
     with pytest.raises(ValueError):
-        counter.inc(-1)
+        totals.counter_add("jobs", 0, -1)
 
 
 def test_gauge_keeps_last_value():
-    registry = MetricsRegistry()
-    registry.gauge("depth").set(3)
-    registry.gauge("depth").set(1)
-    assert registry.gauge("depth").value == 1
+    totals = Telemetry().store("run")
+    totals.gauge_set("depth", 0, 3)
+    totals.gauge_set("depth", 0, 1)
+    assert totals.snapshot()["depth"] == {"type": "gauge", "value": 1}
 
 
-def test_histogram_buckets_and_overflow():
-    registry = MetricsRegistry()
-    hist = registry.histogram("t", boundaries=(1.0, 10.0))
-    for value in (0.5, 5.0, 100.0, 0.1):
-        hist.observe(value)
-    assert hist.counts == [2, 1, 1]
-    assert hist.total == 4
-    assert hist.sum == pytest.approx(105.6)
-    with pytest.raises(ValueError):
-        registry.histogram("bad", boundaries=(5.0, 1.0))
+def test_run_store_is_one_window_for_any_write_time():
+    totals = Telemetry().store("run")
+    for t in (0, 1, 1_800_000_000_000_000_000):  # epoch ns still lands in window 0
+        totals.counter_add("n", t)
+    assert totals.window_indices() == [0]
+    assert totals.total("n") == 3
 
 
 def test_kind_mismatch_raises():
-    registry = MetricsRegistry()
-    registry.counter("x")
+    totals = Telemetry().store("run")
+    totals.counter_add("x", 0)
     with pytest.raises(TypeError):
-        registry.gauge("x")
-
-
-def test_record_counts_skips_non_numeric_and_negative():
-    registry = MetricsRegistry()
-    registry.record_counts("mgr", {"loads": 3, "name": "D1", "flag": True, "delta": -2})
-    snapshot = registry.snapshot()
-    assert list(snapshot) == ["mgr.loads"]
-    assert snapshot["mgr.loads"]["value"] == 3
+        totals.gauge_set("x", 0, 1)
 
 
 def test_snapshot_is_sorted_and_typed():
-    registry = MetricsRegistry()
-    registry.gauge("b").set(2)
-    registry.counter("a").inc()
-    registry.histogram("c").observe(0.002)
-    snapshot = registry.snapshot()
-    assert list(snapshot) == ["a", "b", "c"]
+    totals = Telemetry().store("run")
+    totals.gauge_set("b", 0, 2)
+    totals.counter_add("a", 0)
+    totals.counter_add("a", 0, 2, policy="lru")
+    totals.observe("c", 0, 0.002)
+    snapshot = totals.snapshot()
+    assert list(snapshot) == ["a", "a{policy=lru}", "b", "c"]
     assert snapshot["a"]["type"] == "counter"
+    assert snapshot["a{policy=lru}"]["value"] == 2
     assert snapshot["b"]["type"] == "gauge"
-    assert snapshot["c"]["boundaries"] == list(STAGE_SECONDS_BUCKETS)
+    assert snapshot["c"]["type"] == "quantile" and snapshot["c"]["count"] == 1
 
 
-def test_merge_snapshot_combines_all_kinds():
-    worker = MetricsRegistry()
-    worker.counter("jobs").inc(2)
-    worker.gauge("depth").set(7)
-    worker.histogram("t", boundaries=(1.0, 2.0)).observe(0.5)
-    main = MetricsRegistry()
-    main.counter("jobs").inc(1)
-    main.histogram("t", boundaries=(1.0, 2.0)).observe(0.7)
-    main.histogram("t", boundaries=(1.0, 2.0)).observe(1.5)
-
-    main.merge_snapshot(worker.snapshot())
-    assert main.counter("jobs").value == 3
-    assert main.gauge("depth").value == 7
-    hist = main.histogram("t", boundaries=(1.0, 2.0))
-    assert hist.counts == [2, 1, 0]
-    assert hist.total == 3
-    assert hist.sum == pytest.approx(2.7)
+def test_quantile_snapshot_reads_equal_values_exactly():
+    totals = Telemetry().store("run")
+    for _ in range(6):
+        totals.observe("clock_mhz", 0, 66)
+    entry = totals.snapshot()["clock_mhz"]
+    assert entry["count"] == 6 and entry["sum"] == 396
+    # the sketch estimate is clamped into the exact [min, max]
+    assert entry["min"] == entry["max"] == entry["p50"] == entry["p99"] == 66
 
 
-def test_merge_snapshot_rejects_boundary_mismatch_and_unknown_type():
-    main = MetricsRegistry()
-    main.histogram("t", boundaries=(1.0, 2.0))
+def test_row_merge_combines_all_kinds():
+    main = Telemetry()
+    main.store("run").counter_add("jobs", 0, 1)
+    main.store("run").observe("t", 0, 0.7)
+    main.store("run").observe("t", 0, 1.5)
+    _fold(main, _worker_rows(2, 7, 0.5))
+    snapshot = main.store("run").snapshot()
+    assert snapshot["jobs"]["value"] == 3
+    assert snapshot["depth"]["value"] == 7
+    assert snapshot["t"]["count"] == 3
+    assert snapshot["t"]["sum"] == pytest.approx(2.7)
+    assert (snapshot["t"]["min"], snapshot["t"]["max"]) == (0.5, 1.5)
+
+
+def test_row_merge_rejects_unknown_type():
     with pytest.raises(ValueError):
-        main.merge_snapshot(
-            {"t": {"type": "histogram", "boundaries": [5.0], "counts": [0, 0], "count": 0, "sum": 0.0}}
+        store_row(
+            Telemetry().store("run"),
+            {"type": "meter", "name": "x", "window": 0, "value": 1},
         )
-    with pytest.raises(ValueError):
-        main.merge_snapshot({"x": {"type": "meter", "value": 1}})
 
 
-def test_ambient_registry_scoping():
-    default = get_metrics()
-    with use_metrics() as registry:
-        assert get_metrics() is registry
-        assert registry is not default
-        registry.counter("scoped").inc()
-    assert get_metrics() is default
-    assert "scoped" not in get_metrics().snapshot()
-    previous = set_metrics(None)  # None installs a fresh registry
-    assert get_metrics() is not previous
-    set_metrics(default)
+def test_ambient_hub_scopes_run_totals():
+    assert get_telemetry() is None
+    with use_telemetry() as outer:
+        with use_telemetry() as inner:
+            get_telemetry().store("run").counter_add("scoped", 0)
+        assert get_telemetry() is outer
+    assert "scoped" in inner.store("run").snapshot()
+    assert outer.domains() == []
+    assert get_telemetry() is None
 
 
-def test_merge_snapshot_into_empty_registry_adopts_everything():
-    worker = MetricsRegistry()
-    worker.counter("jobs").inc(4)
-    worker.gauge("depth").set(2)
-    worker.histogram("t", boundaries=(1.0, 2.0)).observe(1.5)
-    empty = MetricsRegistry()
-    empty.merge_snapshot(worker.snapshot())
-    assert empty.snapshot() == worker.snapshot()
-    # and an empty snapshot folded in changes nothing
-    empty.merge_snapshot(MetricsRegistry().snapshot())
-    assert empty.snapshot() == worker.snapshot()
+def test_row_merge_into_empty_hub_adopts_everything():
+    rows = _worker_rows(4, 2, 1.5)
+    empty = Telemetry()
+    _fold(empty, rows)
+    assert empty.to_rows() == rows
+    # and an empty hub's rows folded in change nothing
+    _fold(empty, Telemetry().to_rows())
+    assert empty.to_rows() == rows
 
 
-def test_merge_snapshot_is_associative_across_workers():
-    def worker(jobs, depth, sample):
-        registry = MetricsRegistry()
-        registry.counter("jobs").inc(jobs)
-        registry.gauge("depth").set(depth)
-        registry.histogram("t", boundaries=(1.0, 2.0)).observe(sample)
-        return registry.snapshot()
+def test_row_merge_is_associative_across_workers():
+    a, b, c = _worker_rows(1, 5, 0.5), _worker_rows(2, 6, 1.5), _worker_rows(3, 7, 9.0)
 
-    a, b, c = worker(1, 5, 0.5), worker(2, 6, 1.5), worker(3, 7, 9.0)
+    left = Telemetry()  # (a + b) + c
+    for rows in (a, b, c):
+        _fold(left, rows)
 
-    left = MetricsRegistry()   # (a + b) + c
-    left.merge_snapshot(a)
-    left.merge_snapshot(b)
-    left.merge_snapshot(c)
+    inner = Telemetry()  # a + (b + c)
+    _fold(inner, b)
+    _fold(inner, c)
+    right = Telemetry()
+    _fold(right, a)
+    _fold(right, inner.to_rows())
 
-    inner = MetricsRegistry()  # a + (b + c)
-    inner.merge_snapshot(b)
-    inner.merge_snapshot(c)
-    right = MetricsRegistry()
-    right.merge_snapshot(a)
-    right.merge_snapshot(inner.snapshot())
-
-    # counters and histograms agree exactly; the gauge takes the last
-    # value in merge order, which both orders share (c's)
-    assert left.snapshot() == right.snapshot()
+    # counters and sketches agree exactly; the gauge takes the last value
+    # in merge order, which both orders share (c's)
+    assert left.to_rows() == right.to_rows()
 
 
-def test_merge_snapshot_disjoint_histogram_names_coexist():
-    main = MetricsRegistry()
-    main.histogram("coarse", boundaries=(10.0,)).observe(3.0)
-    other = MetricsRegistry()
-    other.histogram("fine", boundaries=(0.1, 1.0)).observe(0.5)
-    main.merge_snapshot(other.snapshot())
-    snapshot = main.snapshot()
-    # same registry, different names: each keeps its own boundaries
-    assert snapshot["coarse"]["boundaries"] == [10.0]
-    assert snapshot["fine"]["boundaries"] == [0.1, 1.0]
-    assert snapshot["coarse"]["counts"] == [1, 0]
-    assert snapshot["fine"]["counts"] == [0, 1, 0]
+def test_row_merge_disjoint_names_and_domains_coexist():
+    main = Telemetry()
+    main.store("run").observe("coarse", 0, 3.0)
+    other = Telemetry()
+    other.store("run").observe("fine", 0, 0.5)
+    other.store("sim").counter_add("fleet.demands", 7)
+    _fold(main, other.to_rows())
+    assert set(main.store("run").snapshot()) == {"coarse", "fine"}
+    # rows land in their own domain's store, on its own window axis
+    assert main.store("sim").total("fleet.demands") == 1

@@ -1,7 +1,7 @@
 """Prefetch accounting edge cases in :class:`ReconfigurationManager`.
 
 The useful/wasted prefetch counters drive the paper's policy comparison
-(and now the metrics registry), so the corner cases must count exactly once:
+(and the telemetry hub's run totals), so the corner cases must count exactly once:
 duplicate hints, hints claimed while the load is still in flight, and
 speculated modules evicted before anyone asked for them.
 """

@@ -156,17 +156,25 @@ def test_telemetry_never_perturbs_the_digest():
     """Hard invariant from the telemetry wiring: the recorder only reads
     simulation arrays, so a telemetry-enabled run is byte-identical to a
     bare one — for every fast-engine policy core, and with totals that
-    reconcile against the report."""
+    reconcile against the report.  Tracing boards (which replays them on
+    the kernel for their lanes) changes neither the digest nor a series."""
     from repro.obs.telemetry import TimeSeriesStore
 
     for policy in ("none", "fixed", "history", "lru", "on_select"):
-        config = dataclasses.replace(SMALL, policy=policy, engine="fast")
-        bare = run_fleet(config)
-        store = TimeSeriesStore(window=5_000_000, clock="sim")
-        with_tel = run_fleet(config, telemetry=store)
-        assert with_tel.digest() == bare.digest(), policy
-        assert store.total("fleet.demands", policy=policy) == (
-            config.n_boards * config.requests_per_board
-        )
-        hits = sum(b["instant_hits"] + b["resident_hits"] for b in bare.boards)
-        assert store.total("fleet.hits", policy=policy) == hits
+        rows = {}
+        for trace_boards in (0, 2):
+            config = dataclasses.replace(
+                SMALL, policy=policy, engine="fast", trace_boards=trace_boards
+            )
+            bare = run_fleet(config)
+            store = TimeSeriesStore(window=5_000_000, clock="sim")
+            with_tel = run_fleet(config, telemetry=store)
+            assert with_tel.digest() == bare.digest(), policy
+            assert len(with_tel.traces) == trace_boards
+            assert store.total("fleet.demands", policy=policy) == (
+                config.n_boards * config.requests_per_board
+            )
+            hits = sum(b["instant_hits"] + b["resident_hits"] for b in bare.boards)
+            assert store.total("fleet.hits", policy=policy) == hits
+            rows[trace_boards] = store.to_rows()
+        assert rows[2] == rows[0], policy

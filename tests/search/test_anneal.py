@@ -120,32 +120,25 @@ def test_summary_mentions_method_and_digest(space):
 
 
 def test_search_emits_spans_and_metrics(space):
-    from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+    from repro.obs import Tracer, use_telemetry, use_tracer
 
     tracer = Tracer()
-    registry = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry):
-        run(space, budget=20, restarts=2)
+    with use_tracer(tracer), use_telemetry() as hub:
+        result = run(space, budget=20, restarts=2)
     names = [s.name for s in tracer.spans]
     assert "search:anneal" in names
     assert names.count("search:restart") >= 1
-    snapshot = registry.snapshot()
-    assert snapshot["search.evaluations"]["value"] >= 1
-    assert "search.improved" in snapshot
+    # one cost sample per evaluation, windowed over the evaluation index
+    store = hub.store("search")
+    assert store.clock == "index"
+    windows = store.series("search.cost_ns", method="anneal")
+    assert sum(sketch.count for _, sketch in windows) == result.evaluations
+    assert min(sketch.min for _, sketch in windows) == result.best_cost.total_ns
+    # the counts are the result's to report: the annealer writes no totals
+    assert hub.domains() == ["search"]
 
 
 def test_greedy_never_worse_than_its_start(space):
     result = run(space, method="greedy", budget=60, seed=4)
     start = CostEvaluator(space).evaluate(space.initial_state())
     assert result.best_cost.total_ns <= start.total_ns
-
-
-def test_record_search_stats_bridge(space):
-    from repro.obs import MetricsRegistry, record_search_stats
-
-    registry = MetricsRegistry()
-    result = run(space, budget=20)
-    record_search_stats(registry, result)
-    snapshot = registry.snapshot()
-    assert snapshot["search.evaluations"]["value"] == result.evaluations
-    assert snapshot["search.best_total_ns"]["value"] == result.best_cost.total_ns

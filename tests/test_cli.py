@@ -329,6 +329,23 @@ def test_traced_sweep_contains_worker_and_reconfig_spans(tmp_path):
     assert "reconfig.demand_requests" in manifest["metrics"]
 
 
+def test_traced_serial_sweep_never_sums_point_in_time_values(tmp_path):
+    import json
+
+    from repro.obs import validate_trace_file
+
+    trace_path = tmp_path / "sweep.json"
+    code, _ = run_cli("--trace", str(trace_path), "sweep", "--jobs", "0")
+    assert code == 0
+    assert validate_trace_file(trace_path) == []
+    metrics = json.loads((tmp_path / "sweep.manifest.json").read_text())["metrics"]
+    assert metrics["sweep.jobs_total"] == {"type": "counter", "value": 6}
+    assert metrics["flow.stages_total"] == {"type": "counter", "value": 36}
+    clock = metrics["stage.modular_backend.clock_mhz"]  # 66 MHz, not 6 x 66
+    assert clock["type"] == "quantile" and clock["count"] == 6
+    assert clock["min"] == clock["max"] == clock["p50"] == 66.0
+
+
 # -- fleet command ----------------------------------------------------------
 
 
@@ -403,6 +420,38 @@ def test_fleet_trace_bridges_per_board_lanes(tmp_path):
     assert {"b0000 [sim time]", "b0001 [sim time]"} <= lanes
 
 
+def test_tracing_never_changes_fleet_telemetry(tmp_path):
+    import json
+
+    argv = ("fleet", "--boards", "4", "--requests", "20", "--policy", "fixed")
+    untraced, traced = tmp_path / "untraced.jsonl", tmp_path / "traced.jsonl"
+    assert run_cli(*argv, "--telemetry", str(untraced))[0] == 0
+    trace_path = tmp_path / "fleet.json"
+    code, _ = run_cli("--trace", str(trace_path), *argv, "--telemetry", str(traced))
+    assert code == 0
+    # the traced boards' counters and series come from the fast engine too
+    assert traced.read_bytes() == untraced.read_bytes()
+    rows = [json.loads(line) for line in untraced.read_text().splitlines()][1:]
+    assert sum(r["value"] for r in rows if r["name"] == "fleet.demands") == 80
+    # and the trace carries the same windowed series as counter tracks
+    payload = json.loads(trace_path.read_text())
+    samples = {
+        (e["name"], e["ts"]): e["args"]["value"]
+        for e in payload["traceEvents"] if e["ph"] == "C"
+    }
+    for row in rows:
+        assert row["labels"] == {"policy": "fixed"}
+        if row["type"] == "quantile":
+            key, value = f"{row['name']}/count{{policy=fixed}}", row["sketch"]["count"]
+        else:
+            key, value = f"{row['name']}{{policy=fixed}}", row["value"]
+        assert samples[(key, row["t_start"] / 1e3)] == value
+    metrics = json.loads((tmp_path / "fleet.manifest.json").read_text())["metrics"]
+    assert metrics["fleet.fixed.demand_requests"] == {"type": "counter", "value": 80}
+    assert metrics["fleet.fixed.boards"] == {"type": "gauge", "value": 4}
+    assert metrics["fleet.fixed.end_time_ns"]["type"] == "gauge"
+
+
 def test_search_command():
     code, text = run_cli("search", "--budget", "25", "--seed", "1")
     assert code == 0
@@ -451,8 +500,16 @@ def test_search_traced_writes_trace_and_manifest(tmp_path):
     assert validate_trace_file(trace_path) == []
     names = {e["name"] for e in json.loads(trace_path.read_text())["traceEvents"]}
     assert "search:anneal" in names
-    manifest = json.loads((tmp_path / "search.manifest.json").read_text())
-    assert manifest["metrics"]["search.evaluations"]["value"] >= 15
+    _, untraced = run_cli("search", "--budget", "15", "--seed", "0", "--json")
+    result = json.loads(untraced)["result"]
+    metrics = json.loads((tmp_path / "search.manifest.json").read_text())["metrics"]
+    # each fact counted once, and best-cost values are gauges, not sums
+    for name in ("evaluations", "accepted", "improved"):
+        assert metrics[f"search.{name}"] == {"type": "counter", "value": result[name]}
+    assert metrics["search.best_total_ns"] == {
+        "type": "gauge", "value": result["best"]["total_ns"],
+    }
+    assert metrics["search.best_makespan_ns"]["type"] == "gauge"
 
 
 # -- fleet telemetry / dashboard / tail / bench-check ------------------------
@@ -478,6 +535,16 @@ def test_fleet_slo_breach_sets_exit_code_three():
     assert code == 3
     assert "SLO BREACH" in text
     assert "hit-rate-floor" in text
+
+
+def test_traced_fleet_slo_breach_still_exits_three(tmp_path):
+    code, text = run_cli(
+        "--trace", str(tmp_path / "slo.json"),
+        "fleet", "--boards", "3", "--requests", "20", "--policy", "none",
+        "--slo-hit-floor", "1.01",
+    )
+    assert code == 3
+    assert "SLO BREACH" in text
 
 
 def test_fleet_slo_pass_keeps_exit_code_zero():
