@@ -13,14 +13,15 @@ import pathlib
 
 import pytest
 
-from repro.flows import DesignFlow, RecordingObserver, parse_constraints
+from repro.flows import DesignFlow, FlowEvent, parse_constraints
 from repro.mccdma.casestudy import build_mccdma_design
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
-#: Every flow built through :func:`build_case_study_flow` reports its stage
-#: events here; the session teardown aggregates them into BENCH_flow_stages.json.
-STAGE_EVENTS = RecordingObserver()
+#: The stage rows (``FlowResult.events``) of every flow built through
+#: :func:`build_case_study_flow`; the session teardown aggregates them into
+#: BENCH_flow_stages.json.
+STAGE_EVENTS: list[FlowEvent] = []
 
 CASE_STUDY_CONSTRAINTS = """
 [module mod_qpsk]
@@ -75,9 +76,11 @@ def build_case_study_flow(prefetch: bool = True, reconfig_architecture=None):
     )
     if reconfig_architecture is not None:
         kwargs["reconfig_architecture"] = reconfig_architecture
-    flow = DesignFlow.from_design(design, observer=STAGE_EVENTS, **kwargs)
+    flow = DesignFlow.from_design(design, **kwargs)
     flow.mapping.pin("bit_src", "DSP").pin("select", "DSP")
-    return design, flow.run()
+    result = flow.run()
+    STAGE_EVENTS.extend(result.events)
+    return design, result
 
 
 @pytest.fixture(scope="session")
@@ -94,10 +97,10 @@ def _write_stage_timings():
     session, how often the artifact cache served it, and the wall time —
     the flow-profiling counterpart of the pytest-benchmark numbers."""
     yield
-    if not STAGE_EVENTS.events:
+    if not STAGE_EVENTS:
         return
     stages: dict[str, dict] = {}
-    for event in STAGE_EVENTS.events:
+    for event in STAGE_EVENTS:
         row = stages.setdefault(
             event.stage, {"executions": 0, "cache_hits": 0, "total_s": 0.0}
         )

@@ -29,9 +29,11 @@ Quickstart::
     result = flow.run()
     print(result.report())
 
-Library code never writes to stdout: flow progress goes to the standard
-``logging`` channel ``repro.flows`` (silent by default — configure logging
-or pass a :class:`repro.flows.FlowObserver` to see it).
+Library code never writes to stdout.  A run narrates itself as spans on
+the ambient tracer — install a recording one with
+``repro.obs.use_tracer(repro.obs.Tracer())`` and read its rows with
+:func:`repro.flows.render_profile` or :func:`repro.flows.flow_rows`; the
+``repro`` logging channels carry warnings only and are silent by default.
 """
 
 import logging as _logging

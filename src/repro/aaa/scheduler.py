@@ -79,7 +79,8 @@ class SchedulerStats:
     asked for — exactly what the naive implementation would have computed —
     while ``placements_evaluated`` counts the ones actually computed; the
     difference is served by the cross-step memo.  The flow pipeline surfaces
-    these through the adequation stage's FlowEvent metrics.
+    these as the adequation stages' row metrics (``FlowResult.events`` and
+    the ``metric.*`` attributes of their ``stage:`` spans).
     """
 
     placements_requested: int = 0

@@ -28,16 +28,15 @@ from typing import Optional, Sequence
 
 from repro.codegen.testbench import generate_all_testbenches
 from repro.flows import (
-    CompositeObserver,
     DesignFlow,
-    JsonLinesObserver,
-    RecordingObserver,
     SystemSimulation,
+    flow_rows,
     parse_constraints,
     render_profile,
     table1_report,
 )
 from repro.obs import (
+    NOOP_TRACER,
     Telemetry,
     Tracer,
     build_manifest,
@@ -119,29 +118,25 @@ def _policy_list(value: str) -> list[str]:
 
 def _run_flow(args) -> "tuple":
     design = build_mccdma_design()
-    log_json = getattr(args, "log_json", None)
-    with ExitStack() as stack:
-        observer = stack.enter_context(JsonLinesObserver(log_json)) if log_json else None
-        flow = DesignFlow.from_design(
-            design,
-            dynamic_constraints=parse_constraints(CASE_STUDY_CONSTRAINTS),
-            reconfig_architecture=_ARCHITECTURES[args.architecture](),
-            prefetch=not getattr(args, "reactive", False),
-            observer=observer,
-        )
-        flow.mapping.pin("bit_src", "DSP").pin("select", "DSP")
-        return design, flow.run()
+    flow = DesignFlow.from_design(
+        design,
+        dynamic_constraints=parse_constraints(CASE_STUDY_CONSTRAINTS),
+        reconfig_architecture=_ARCHITECTURES[args.architecture](),
+        prefetch=not getattr(args, "reactive", False),
+    )
+    flow.mapping.pin("bit_src", "DSP").pin("select", "DSP")
+    return design, flow.run()
 
 
-def _maybe_profile(args, result, out) -> None:
-    """Print the per-stage profile table when ``--profile`` was given."""
-    if getattr(args, "profile", False):
-        print(render_profile(result.events), file=out)
+def _maybe_profile(args, out) -> None:
+    """Print the profile of the run's recording when ``--profile`` was given."""
+    if args.profile:
+        print(render_profile(get_tracer().spans), file=out)
 
 
 def _cmd_flow(args, out) -> int:
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
+    _maybe_profile(args, out)
     if getattr(args, "json", False):
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True), file=out)
     else:
@@ -151,14 +146,14 @@ def _cmd_flow(args, out) -> int:
 
 def _cmd_table1(args, out) -> int:
     design, result = _run_flow(args)
-    _maybe_profile(args, result, out)
+    _maybe_profile(args, out)
     print(table1_report(design.library, flow=result), file=out)
     return 0
 
 
 def _cmd_macrocode(args, out) -> int:
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
+    _maybe_profile(args, out)
     print(result.executive.render(), file=out)
     return 0
 
@@ -193,7 +188,7 @@ def _cmd_export(args, out) -> int:
     from repro.flows.export import export_build_directory
 
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
+    _maybe_profile(args, out)
     written = export_build_directory(result, args.out)
     for path in written:
         print(f"wrote {path}", file=out)
@@ -203,7 +198,7 @@ def _cmd_export(args, out) -> int:
 
 def _cmd_vhdl(args, out) -> int:
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
+    _maybe_profile(args, out)
     target = pathlib.Path(args.out)
     target.mkdir(parents=True, exist_ok=True)
     files = dict(result.generated.files)
@@ -261,22 +256,16 @@ def _cmd_sweep(args, out) -> int:
             )
             for job in jobs
         ]
-    log_json = getattr(args, "log_json", None)
-    with ExitStack() as stack:
-        observer = stack.enter_context(JsonLinesObserver(log_json)) if log_json else None
-        engine = stack.enter_context(
-            ParallelSweepEngine(
-                jobs=args.jobs,
-                timeout_s=args.timeout,
-                retries=args.retries,
-                cache_dir=args.cache_dir,
-                observer=observer,
-                sweep_name=f"designspace:{design.graph.name}",
-            )
-        )
+    with ParallelSweepEngine(
+        jobs=args.jobs,
+        timeout_s=args.timeout,
+        retries=args.retries,
+        cache_dir=args.cache_dir,
+        sweep_name=f"designspace:{design.graph.name}",
+    ) as engine:
         report = engine.run(jobs)
-    if getattr(args, "profile", False):
-        print(render_profile(report.events, aggregate=True), file=out)
+    if args.profile:
+        print(render_profile(get_tracer().spans, aggregate=True), file=out)
     if args.json:
         payload = report.to_dict()
         payload["points"] = [
@@ -302,16 +291,19 @@ def _make_snr(pattern: str, n: int):
 
 def _cmd_simulate(args, out) -> int:
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
+    _maybe_profile(args, out)
     snr = _make_snr(args.pattern, args.iterations)
     state = make_case_study_bindings(snr, seed=args.seed)
-    runtime = SystemSimulation(
-        result,
-        n_iterations=args.iterations,
-        bindings=state.bindings,
-        policy=args.policy,  # registry name; SystemSimulation resolves it
-        capture={"dac"},
-    ).run()
+    # Only a --trace file reads the kernel's spans: for --profile and
+    # --log-json the simulation runs untraced, as it does without them.
+    with use_tracer(get_tracer() if args.trace else NOOP_TRACER):
+        runtime = SystemSimulation(
+            result,
+            n_iterations=args.iterations,
+            bindings=state.bindings,
+            policy=args.policy,  # registry name; SystemSimulation resolves it
+            capture={"dac"},
+        ).run()
     print(runtime.summary(), file=out)
     plan = ", ".join(m.value for m in state.selected)
     print(f"modulation plan: {plan}", file=out)
@@ -355,24 +347,16 @@ def _cmd_linklevel(args, out) -> int:
     if unknown:
         print(f"error: unknown strategy(ies) {', '.join(unknown)}", file=out)
         return 2
-    recorder = RecordingObserver() if getattr(args, "profile", False) else None
-    log_json = getattr(args, "log_json", None)
     report: dict[str, list[dict]] = {}
+    engine = LinkSimulationEngine(
+        config=MCCDMAConfig(user_codes=tuple(range(args.users))),
+        engine=LinkEngineConfig(
+            batch_frames=args.batch,
+            batched=not args.reference,
+            ci_halfwidth=args.ci_halfwidth,
+        ),
+    )
     with ExitStack() as stack:
-        json_sink = stack.enter_context(JsonLinesObserver(log_json)) if log_json else None
-        sinks = [o for o in (recorder, json_sink) if o]
-        observer = None
-        if sinks:
-            observer = sinks[0] if len(sinks) == 1 else CompositeObserver(*sinks)
-        engine = LinkSimulationEngine(
-            config=MCCDMAConfig(user_codes=tuple(range(args.users))),
-            engine=LinkEngineConfig(
-                batch_frames=args.batch,
-                batched=not args.reference,
-                ci_halfwidth=args.ci_halfwidth,
-            ),
-            observer=observer,
-        )
         pool = None
         if args.jobs > 0 and len(strategies) > 1:
             # One warm pool serves every strategy's curve: workers spawn
@@ -389,8 +373,7 @@ def _cmd_linklevel(args, out) -> int:
                 {"snr_db": snr, **result.to_dict(), "ber": result.ber}
                 for snr, result in zip(snr_points, results)
             ]
-    if recorder is not None:
-        print(render_profile(recorder.events), file=out)
+    _maybe_profile(args, out)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True), file=out)
     else:
@@ -422,7 +405,7 @@ def _cmd_trace(args, out) -> int:
         print(f"{args.check}: OK", file=out)
         return 0
     _, result = _run_flow(args)
-    _maybe_profile(args, result, out)
+    _maybe_profile(args, out)
     snr = _make_snr(args.pattern, args.iterations)
     state = make_case_study_bindings(snr, seed=args.seed)
     runtime = SystemSimulation(
@@ -529,12 +512,12 @@ def _cmd_fleet(args, out) -> int:
     from repro.runtime import FleetConfig, generate_fleet_schedules, run_fleet
 
     tracer = get_tracer()
-    # When tracing, record a few boards' full kernel traces so Perfetto
+    # With --trace, record a few boards' full kernel traces so Perfetto
     # shows one lane per board; tracing the whole fleet would dominate RAM
     # (traced boards run through the reference kernel under either engine).
     trace_boards = args.trace_boards
     if trace_boards is None:
-        trace_boards = 3 if tracer.enabled else 0
+        trace_boards = 3 if args.trace else 0
     base = FleetConfig(
         n_boards=args.boards,
         requests_per_board=args.requests,
@@ -732,7 +715,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--log-json", metavar="PATH", default=None,
-        help="append one JSON line per pipeline stage event to PATH",
+        help="append one JSON line per recorded row (pipeline stage, sweep step, "
+        "link batch) to PATH when the command ends",
     )
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -1076,47 +1060,59 @@ _COMMANDS = {
 }
 
 
-def _run_traced(args, out, raw_argv: list[str]) -> int:
-    """Run the command inside a fresh tracer + telemetry hub, then export.
+def _run_recorded(args, out, raw_argv: list[str], trace_path: Optional[str]) -> int:
+    """Run the command inside one recording tracer, then write its views.
 
-    The trace (Chrome trace-event JSON, one counter lane per hub store) and
-    its run manifest (argv, git revision, seed, the hub's run totals) are
-    written even when the command fails — a failing run is exactly the one
+    ``--profile`` prints from the recording while the command runs.  At
+    exit ``--log-json`` appends one JSON line per row of the recording, and
+    ``--trace`` — the only view that also installs a telemetry hub — writes
+    the Chrome trace (one counter lane per hub store) and its run manifest
+    (argv, git revision, seed, the hub's run totals).  Both files are
+    written even when the command fails: a failing run is exactly the one
     worth inspecting.
     """
-    trace_path = pathlib.Path(args.trace)
     tracer = Tracer()
-    hub = Telemetry()
+    hub = Telemetry() if trace_path else None
     try:
-        with use_tracer(tracer), use_telemetry(hub):
-            code = _COMMANDS[args.command](args, out)
+        with ExitStack() as stack:
+            stack.enter_context(use_tracer(tracer))
+            if hub is not None:
+                stack.enter_context(use_telemetry(hub))
+            return _COMMANDS[args.command](args, out)
     finally:
-        write_chrome_trace(
-            trace_path, tracer.spans,
-            metadata={"trace_id": tracer.trace_id, "command": args.command},
-            telemetry=hub,
-        )
-        manifest = build_manifest(
-            argv=["repro", *raw_argv],
-            seed=getattr(args, "seed", None),
-            metrics=hub.store("run").snapshot(),
-            extra={"command": args.command, "trace_file": str(trace_path)},
-        )
-        manifest_path = write_manifest(manifest_path_for(trace_path), manifest)
-        print(
-            f"wrote trace {trace_path} ({len(tracer.spans)} spans) "
-            f"and manifest {manifest_path}",
-            file=out,
-        )
-    return code
+        if args.log_json:
+            with open(args.log_json, "a", encoding="utf-8") as sink:
+                for row in flow_rows(tracer.spans):
+                    sink.write(json.dumps(row.to_dict(), sort_keys=True) + "\n")
+        if hub is not None:
+            trace_file = pathlib.Path(trace_path)
+            write_chrome_trace(
+                trace_file, tracer.spans,
+                metadata={"trace_id": tracer.trace_id, "command": args.command},
+                telemetry=hub,
+            )
+            manifest = build_manifest(
+                argv=["repro", *raw_argv],
+                seed=getattr(args, "seed", None),
+                metrics=hub.store("run").snapshot(),
+                extra={"command": args.command, "trace_file": str(trace_file)},
+            )
+            manifest_path = write_manifest(manifest_path_for(trace_file), manifest)
+            print(
+                f"wrote trace {trace_file} ({len(tracer.spans)} spans) "
+                f"and manifest {manifest_path}",
+                file=out,
+            )
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
     stream = out if out is not None else sys.stdout
-    if getattr(args, "trace", None) and not getattr(args, "check", None):
+    # ``trace --check`` only reads a trace file; it never writes one.
+    trace_path = None if getattr(args, "check", None) else args.trace
+    if trace_path or args.profile or args.log_json:
         raw_argv = list(argv) if argv is not None else list(sys.argv[1:])
-        return _run_traced(args, stream, raw_argv)
+        return _run_recorded(args, stream, raw_argv, trace_path)
     return _COMMANDS[args.command](args, stream)
 
 

@@ -5,9 +5,10 @@ multi-process workload: picklable :class:`~repro.exec.worker.SweepJob`
 records are sharded across spawn workers by the
 :class:`~repro.exec.engine.ParallelSweepEngine`, all sharing one on-disk
 :class:`~repro.flows.pipeline.ArtifactCache` made safe for concurrency by
-the primitives in :mod:`repro.exec.locks`.  Progress streams back as
-ordinary ``sweep:<kind>`` :class:`~repro.flows.observe.FlowEvent` records
-into the flow-observer layer.
+the primitives in :mod:`repro.exec.locks`.  Under a recording tracer the
+engine narrates each lifecycle step as a ``sweep:<kind>`` row span, and
+traced workers ship their spans — pipeline stage rows included — back to
+the engine's tracer (see :mod:`repro.flows.observe`).
 
 - :mod:`repro.exec.locks` — advisory file locks + atomic write-rename
   (imported by :mod:`repro.flows.pipeline`; no ``repro`` dependencies);

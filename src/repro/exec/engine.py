@@ -32,15 +32,15 @@ The engine owns the scheduler:
   it was running; the sweep always completes and reports partial results,
   and the pool stays warm (dead workers are respawned).
 
-Every worker streams its pipeline stage events and job lifecycle messages
-back over its result pipe; the engine forwards them, plus its own
-lifecycle steps as ``sweep:<kind>`` :class:`~repro.flows.observe.FlowEvent`
-records (one per job dispatched/started/finished/retried/timed out/failed,
-per worker spawned/crashed, and one summary when the sweep completes), to
-one :class:`~repro.flows.observe.FlowObserver`, so ``--profile`` and
-``--log-json`` cover parallel runs exactly as they cover serial ones.
-Traced workers also ship their telemetry hub's rows, which the engine
-folds into the ambient hub.
+Under a recording tracer the engine narrates its own lifecycle as
+``sweep:<kind>`` row spans (one per job dispatched/started/finished/
+retried/timed out/failed, per worker spawned/crashed, and one summary when
+the sweep completes; see :mod:`repro.flows.observe`), and traced workers
+ship their spans — pipeline stage rows included — and their telemetry
+hub's rows back before each job outcome.  ``--profile`` and ``--log-json``
+therefore cover parallel runs exactly as they cover serial ones.  Each job
+outcome also carries the hits and misses the job added to its worker's
+artifact cache, which become the report's stage-cache counts.
 
 Worker pipes are deliberately one-per-worker (no shared queue): killing a
 hung worker can then never corrupt or deadlock a lock shared with its
@@ -56,19 +56,19 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
-from time import monotonic, perf_counter, time_ns
+from time import monotonic, perf_counter, perf_counter_ns, time_ns
 from typing import Any, Optional, Sequence
 
 from repro.exec.pool import PoolWorker, WorkerPool
 from repro.exec.worker import SweepJob, run_job
-from repro.flows.observe import FlowEvent, FlowObserver, LoggingObserver
-from repro.flows.pipeline import ArtifactCache
-from repro.obs import NOOP_TRACER, get_tracer
+from repro.flows.observe import row_attributes
+from repro.flows.pipeline import ArtifactCache, CacheStats
+from repro.obs import NOOP_TRACER, Span, get_tracer
 from repro.obs.telemetry import get_telemetry, store_row
 
 __all__ = ["SWEEP_EVENT_KINDS", "SweepJobResult", "SweepReport", "ParallelSweepEngine"]
 
-#: Every lifecycle kind the engine narrates (as ``sweep:<kind>`` events).
+#: Every lifecycle kind the engine narrates (as ``sweep:<kind>`` row spans).
 SWEEP_EVENT_KINDS = (
     "job_dispatched",
     "job_started",
@@ -79,9 +79,7 @@ SWEEP_EVENT_KINDS = (
     "worker_spawned",
     "worker_respawned",
     "worker_crashed",
-    "worker_stopped",
     "pool_reused",
-    "cache_warning",
     "sweep_completed",
 )
 
@@ -115,9 +113,8 @@ class SweepReport:
     sweep: str
     results: list[SweepJobResult]
     wall_time_s: float
-    #: Every FlowEvent the engine forwarded: worker stage events plus the
-    #: engine's own ``sweep:*`` lifecycle events, in arrival order.
-    events: list[FlowEvent] = field(default_factory=list)
+    #: Hits and misses every job attempt added to its artifact cache.
+    cache_stats: CacheStats = field(default_factory=CacheStats)
 
     @property
     def succeeded(self) -> list[SweepJobResult]:
@@ -127,19 +124,14 @@ class SweepReport:
     def failed(self) -> list[SweepJobResult]:
         return [r for r in self.results if not r.ok]
 
-    def stage_events(self) -> list[FlowEvent]:
-        """The per-stage pipeline events (cache traffic) of all workers."""
-        return [e for e in self.events if not e.stage.startswith("sweep:")]
-
     def cache_hits(self) -> int:
-        return sum(1 for e in self.stage_events() if e.cache_hit)
+        return self.cache_stats.hits
 
     def cache_lookups(self) -> int:
-        return len(self.stage_events())
+        return self.cache_stats.lookups
 
     def cache_hit_rate(self) -> float:
-        lookups = self.cache_lookups()
-        return self.cache_hits() / lookups if lookups else 0.0
+        return self.cache_stats.hit_rate()
 
     def summary(self) -> str:
         lines = [
@@ -212,7 +204,6 @@ class ParallelSweepEngine:
         retries: int = 1,
         backoff_s: float = 0.05,
         cache_dir: Optional[str | Path] = None,
-        observer: Optional[FlowObserver] = None,
         sweep_name: str = "sweep",
         pool: Optional[WorkerPool] = None,
         prefetch_depth: int = 2,
@@ -232,10 +223,9 @@ class ParallelSweepEngine:
         self.retries = retries
         self.backoff_s = backoff_s
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.observer = observer if observer is not None else LoggingObserver()
         self.sweep_name = sweep_name
         self.prefetch_depth = prefetch_depth
-        self._events: list[FlowEvent] = []
+        self._cache_stats = CacheStats()
         self._sweep_span = NOOP_TRACER.span("sweep")
         self._pool = pool
         self._owns_pool = False
@@ -277,11 +267,7 @@ class ParallelSweepEngine:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- event plumbing ---------------------------------------------------------
-
-    def _emit_flow(self, event: FlowEvent) -> None:
-        self._events.append(event)
-        self.observer.on_event(event)
+    # -- narration --------------------------------------------------------------
 
     def _emit(
         self,
@@ -293,9 +279,16 @@ class ParallelSweepEngine:
         detail: str = "",
         metrics: Optional[dict] = None,
     ) -> None:
-        """One ``sweep:<kind>`` lifecycle event for the observer."""
+        """Record one ``sweep:<kind>`` row span when a tracer records.
+
+        The span ends now and lasts the step's ``wall_time_s`` (zero for
+        instants such as a dispatch).
+        """
         if kind not in SWEEP_EVENT_KINDS:
             raise ValueError(f"unknown sweep event kind {kind!r}")
+        tracer = get_tracer()
+        if not tracer.enabled:
+            return
         metrics = dict(metrics or {})
         if worker is not None:
             metrics.setdefault("worker", worker)
@@ -303,16 +296,25 @@ class ParallelSweepEngine:
             metrics.setdefault("attempt", attempt)
         if detail:
             metrics.setdefault("detail", detail)
-        self._emit_flow(
-            FlowEvent(
-                flow=f"{self.sweep_name}/{job}" if job else self.sweep_name,
-                stage=f"sweep:{kind}",
-                cache_hit=False,
-                wall_time_s=wall_time_s,
-                fingerprint="",
-                metrics=metrics,
+        name = f"sweep:{kind}"
+        duration_ns = round(wall_time_s * 1e9)
+        tracer.add_span(
+            Span(
+                name=name,
+                context=tracer.span(name, parent=self._sweep_span.context).context,
+                start_ns=tracer.to_epoch_ns(perf_counter_ns()) - duration_ns,
+                duration_ns=duration_ns,
+                process=tracer.process,
+                track=tracer.track,
+                attributes=row_attributes(
+                    f"{self.sweep_name}/{job}" if job else self.sweep_name, metrics
+                ),
             )
         )
+
+    def _count_cache(self, hits: int, misses: int) -> None:
+        self._cache_stats.hits += hits
+        self._cache_stats.misses += misses
 
     # -- serial fallback --------------------------------------------------------
 
@@ -337,7 +339,7 @@ class ParallelSweepEngine:
                     ) as job_span:
                         if tracer.enabled:
                             job_span.set_attribute("attempt", attempt)
-                        payload = run_job(job, attempt=attempt, cache=cache, observer=self)
+                        payload = run_job(job, attempt=attempt, cache=cache)
                 except Exception as err:
                     wall = perf_counter() - started
                     last_error = f"{type(err).__name__}: {err}"
@@ -363,11 +365,8 @@ class ParallelSweepEngine:
                                    wall_time_s=wall, payload=payload)
                 )
                 break
+        self._count_cache(cache.stats.hits, cache.stats.misses)
         return self._finish(jobs, {r.job_id: r for r in results}, sweep_started)
-
-    def on_event(self, event: FlowEvent) -> None:
-        """FlowObserver protocol: the serial path forwards stage events here."""
-        self._emit_flow(event)
 
     # -- the parallel scheduler -------------------------------------------------
 
@@ -376,7 +375,7 @@ class ParallelSweepEngine:
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate job ids: {ids}")
-        self._events = []
+        self._cache_stats = CacheStats()
         tracer = get_tracer()
         self._sweep_span = tracer.span(
             f"sweep:{self.sweep_name}",
@@ -622,8 +621,6 @@ class ParallelSweepEngine:
                         "job_started", job=job_id,
                         worker=handle.worker_id, attempt=attempt,
                     )
-                elif kind == "event":
-                    self._emit_flow(message[1])
                 elif kind == "spans":
                     tracer.add_spans(message[2])
                 elif kind == "metrics":
@@ -632,7 +629,8 @@ class ParallelSweepEngine:
                             if not row.get("meta"):
                                 store_row(hub.store(row["domain"]), row)
                 elif kind == "done":
-                    _, job_id, payload, wall = message
+                    _, job_id, payload, wall, cache_traffic = message
+                    self._count_cache(*cache_traffic)
                     entry = handle.queue.popleft()
                     if handle.queue:
                         handle.queue[0].head_since = monotonic()
@@ -659,7 +657,8 @@ class ParallelSweepEngine:
                         metrics={"fits": payload.get("fits")},
                     )
                 elif kind == "fail":
-                    _, job_id, error, _tb, wall = message
+                    _, job_id, error, _tb, wall, cache_traffic = message
+                    self._count_cache(*cache_traffic)
                     entry = handle.queue.popleft()
                     if handle.queue:
                         handle.queue[0].head_since = monotonic()
@@ -697,7 +696,7 @@ class ParallelSweepEngine:
             sweep=self.sweep_name,
             results=ordered,
             wall_time_s=perf_counter() - sweep_started,
-            events=list(self._events),
+            cache_stats=self._cache_stats,
         )
         self._emit(
             "sweep_completed",
@@ -724,5 +723,4 @@ class ParallelSweepEngine:
             totals.counter_add("sweep.jobs_total", 0, len(report.results))
             totals.counter_add("sweep.jobs_failed", 0, len(report.failed))
         self._sweep_span.end()
-        report.events = list(self._events)
         return report

@@ -16,14 +16,15 @@ the pool survives.  The message protocol:
 - worker → engine: ``("ready", worker_id)`` once imports complete,
   ``("started", job_id, attempt)`` when a job begins (the engine starts the
   job's timeout clock here, not at dispatch — a queued job is not running),
-  ``("event", FlowEvent)`` for every pipeline stage event (streamed live so
-  the engine's observer sees parallel stage traffic as it happens),
   ``("spans", job_id, [Span, ...])`` with the worker's finished trace spans
-  and ``("metrics", job_id, rows)`` with the :meth:`~repro.obs.Telemetry.to_rows`
-  of the job's telemetry hub (both sent *before* the job outcome, so the
-  engine always drains them),
-  ``("done", job_id, payload, wall_time_s)`` on success and
-  ``("fail", job_id, error, traceback, wall_time_s)`` on any exception.
+  — pipeline stage rows included — and ``("metrics", job_id, rows)`` with
+  the :meth:`~repro.obs.Telemetry.to_rows` of the job's telemetry hub (both
+  sent only for a traced job, and *before* its outcome, so the engine
+  always drains them),
+  ``("done", job_id, payload, wall_time_s, (hits, misses))`` on success and
+  ``("fail", job_id, error, traceback, wall_time_s, (hits, misses))`` on any
+  exception; ``(hits, misses)`` is the traffic the attempt added to the
+  worker's artifact cache.
 
 :class:`SweepJob` is the picklable unit of work — it carries real model
 objects (graph, library, device, reconfiguration architecture, parsed
@@ -63,7 +64,6 @@ from repro.fabric.device import VirtexIIDevice
 from repro.fabric.floorplan import FloorplanError
 from repro.flows.constraints import DynamicConstraints
 from repro.flows.flow import DesignFlow
-from repro.flows.observe import FlowEvent, FlowObserver
 from repro.flows.pipeline import ArtifactCache
 from repro.obs import Telemetry, Tracer, set_telemetry, set_tracer
 from repro.reconfig.architectures import ReconfigArchitecture
@@ -160,10 +160,7 @@ def build_board(job: SweepJob) -> Board:
 
 
 def run_job(
-    job: SweepJob,
-    attempt: int = 1,
-    cache: Optional[ArtifactCache] = None,
-    observer: Optional[FlowObserver] = None,
+    job: SweepJob, attempt: int = 1, cache: Optional[ArtifactCache] = None
 ) -> dict[str, Any]:
     """Evaluate one design point; returns a JSON-safe result payload.
 
@@ -173,15 +170,15 @@ def run_job(
     the engine, which retries or records the failure).
 
     Jobs other than :class:`SweepJob` may plug into the sweep machinery by
-    exposing ``job_id`` plus an ``execute(attempt=, cache=, observer=)``
-    method returning the payload (e.g.
+    exposing ``job_id`` plus an ``execute(attempt=, cache=)`` method
+    returning the payload (e.g.
     :class:`repro.mccdma.engine.LinkPointJob`); ``fault`` is honoured for
     them too when present.
     """
     _apply_fault(getattr(job, "fault", None), attempt)
     execute = getattr(job, "execute", None)
     if execute is not None:
-        return execute(attempt=attempt, cache=cache, observer=observer)
+        return execute(attempt=attempt, cache=cache)
     flow = DesignFlow(
         graph=job.graph,
         board=build_board(job),
@@ -191,7 +188,6 @@ def run_job(
         prefetch=job.prefetch,
         iteration_deadline_ns=job.iteration_deadline_ns,
         cache=cache,
-        observer=observer,
     )
     for operation, operator in job.pins:
         flow.mapping.pin(operation, operator)
@@ -276,23 +272,6 @@ def _simulate_runtime(job: SweepJob, result) -> dict[str, Any]:
     }
 
 
-@dataclass
-class _PipeObserver:
-    """Streams each pipeline stage event back to the engine live.
-
-    Send-only: nothing is retained worker-side, so a long-lived pool
-    worker's memory footprint stays flat across thousands of jobs.
-    """
-
-    conn: Any
-
-    def on_event(self, event: FlowEvent) -> None:
-        try:
-            self.conn.send(("event", event))
-        except (BrokenPipeError, OSError):  # engine went away; keep computing
-            pass
-
-
 def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
     """Process entrypoint: serve job batches from ``conn`` until ``stop``/EOF.
 
@@ -308,7 +287,6 @@ def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
     slow job cannot strand a long tail behind it).
     """
     cache = ArtifactCache(disk_dir=cache_dir) if cache_dir else ArtifactCache()
-    observer = _PipeObserver(conn)
     #: One span-id counter for the worker's whole life: each traced run
     #: gets a fresh tracer (runs carry distinct trace ids) but the counter
     #: carries over, so ``w<id>-N`` ids never repeat across runs.
@@ -363,12 +341,14 @@ def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
             error: Optional[BaseException] = None
             error_tb = ""
             payload = None
+            hits, misses = cache.stats.hits, cache.stats.misses
             try:
-                payload = run_job(job, attempt=attempt, cache=cache, observer=observer)
+                payload = run_job(job, attempt=attempt, cache=cache)
             except Exception as err:  # reported to the engine, never fatal here
                 error = err
                 error_tb = traceback.format_exc()
             wall = perf_counter() - started
+            cache_traffic = (cache.stats.hits - hits, cache.stats.misses - misses)
             if ctx is not None:
                 if error is not None:
                     job_span.set_attribute("error", f"{type(error).__name__}: {error}")
@@ -385,14 +365,17 @@ def worker_main(conn, worker_id: int, cache_dir: Optional[str]) -> None:
                     conn.send(("metrics", job.job_id, rows))
             if error is not None:
                 conn.send(
-                    ("fail", job.job_id, f"{type(error).__name__}: {error}", error_tb, wall)
+                    (
+                        "fail", job.job_id, f"{type(error).__name__}: {error}",
+                        error_tb, wall, cache_traffic,
+                    )
                 )
                 if isinstance(error, ExitAfterReport):
                     import os
 
                     os._exit(13)
             else:
-                conn.send(("done", job.job_id, payload, wall))
+                conn.send(("done", job.job_id, payload, wall, cache_traffic))
     except (BrokenPipeError, OSError):  # engine died; exit quietly
         pass
     finally:

@@ -11,7 +11,8 @@ reconfiguration manager).
 - :mod:`repro.flows.pipeline` — staged pipeline with content-addressed
   artefact caching (fingerprints, :class:`ArtifactCache`, :class:`Stage`,
   :class:`FlowPipeline`),
-- :mod:`repro.flows.observe` — per-stage flow events and observer sinks,
+- :mod:`repro.flows.observe` — narration rows (:class:`FlowEvent`) rebuilt
+  from the spans of one recording, and the ``--profile`` table over them,
 - :mod:`repro.flows.flow` — the complete design flow (a façade over the
   pipeline),
 - :mod:`repro.flows.runtime` — runtime system simulation,
@@ -25,15 +26,7 @@ from repro.flows.constraints import (
     parse_constraints,
 )
 from repro.flows.modular import ModularDesignResult, run_modular_backend
-from repro.flows.observe import (
-    CompositeObserver,
-    FlowEvent,
-    FlowObserver,
-    JsonLinesObserver,
-    LoggingObserver,
-    RecordingObserver,
-    render_profile,
-)
+from repro.flows.observe import FlowEvent, flow_rows, render_profile
 from repro.flows.pipeline import ArtifactCache, CacheStats, FlowPipeline, Stage, fingerprint
 from repro.flows.flow import STAGE_NAMES, DesignFlow, FlowResult, TimingConstraintError
 from repro.flows.runtime import RuntimeResult, SystemSimulation
@@ -55,11 +48,7 @@ __all__ = [
     "ModularDesignResult",
     "run_modular_backend",
     "FlowEvent",
-    "FlowObserver",
-    "LoggingObserver",
-    "JsonLinesObserver",
-    "RecordingObserver",
-    "CompositeObserver",
+    "flow_rows",
     "render_profile",
     "ArtifactCache",
     "CacheStats",

@@ -19,7 +19,6 @@ from repro.fabric.device import VirtexIIDevice, XC2V1000, XC2V2000, XC2V3000
 from repro.fabric.floorplan import FloorplanError
 from repro.flows.constraints import DynamicConstraints
 from repro.flows.flow import DesignFlow, FlowResult
-from repro.flows.observe import FlowObserver
 from repro.flows.pipeline import ArtifactCache
 from repro.reconfig.architectures import ReconfigArchitecture, case_a_standalone, case_b_processor
 
@@ -283,7 +282,7 @@ def design_point_from_payload(result) -> DesignPoint:
 
 def _explore_parallel(
     graph, library, devices, architectures, dynamic_constraints, pins,
-    jobs, timeout_s, retries, cache_dir, observer, pool,
+    jobs, timeout_s, retries, cache_dir, pool,
 ) -> list[DesignPoint]:
     from repro.exec.engine import ParallelSweepEngine
 
@@ -299,7 +298,6 @@ def _explore_parallel(
         timeout_s=timeout_s,
         retries=retries,
         cache_dir=cache_dir,
-        observer=observer,
         sweep_name=f"designspace:{graph.name}",
         pool=pool,
     )
@@ -323,7 +321,6 @@ def explore_design_space(
     keep_flow_results: bool = False,
     cache: Optional[ArtifactCache] = None,
     share_cache: bool = True,
-    observer: Optional[FlowObserver] = None,
     jobs: int = 1,
     timeout_s: Optional[float] = None,
     retries: int = 1,
@@ -344,8 +341,9 @@ def explore_design_space(
     ``share_cache=False`` to disable caching): stages whose fingerprinted
     inputs do not involve the swept dimensions — modelisation, first-pass
     adequation, VHDL generation when only the device changes — execute once
-    for the whole sweep instead of once per point.  ``observer`` sees every
-    stage event of every point.
+    for the whole sweep instead of once per point.  Under a recording tracer
+    every stage of every point is a row span (see
+    :mod:`repro.flows.observe`).
 
     ``jobs > 1`` delegates to the
     :class:`~repro.exec.engine.ParallelSweepEngine`: jobs are pulled by
@@ -371,7 +369,7 @@ def explore_design_space(
             raise ValueError("keep_flow_results is not supported with jobs > 1")
         return _explore_parallel(
             graph, library, devices, architectures, dynamic_constraints, pins,
-            jobs, timeout_s, retries, cache_dir, observer, pool,
+            jobs, timeout_s, retries, cache_dir, pool,
         )
     archs = list(architectures) or [case_a_standalone(), case_b_processor()]
     if cache is None and cache_dir is not None:
@@ -388,7 +386,6 @@ def explore_design_space(
                 dynamic_constraints=dynamic_constraints,
                 reconfig_architecture=arch,
                 cache=shared_cache,
-                observer=observer,
             )
             for operation, operator in pins:
                 flow.mapping.pin(operation, operator)

@@ -18,8 +18,9 @@ Since the staged-pipeline refactor this class is a thin façade over
 :class:`~repro.flows.pipeline.FlowPipeline`: each stage is content-addressed
 by a fingerprint of its inputs (chained through its upstream stages), so a
 flow given a shared :class:`~repro.flows.pipeline.ArtifactCache` re-executes
-only the stages whose inputs actually changed, and every stage reports to a
-pluggable :class:`~repro.flows.observe.FlowObserver`.  The public API is
+only the stages whose inputs actually changed, and every stage leaves one
+:class:`~repro.flows.observe.FlowEvent` row on ``FlowResult.events`` (and a
+``stage:`` span on the ambient tracer, when one records).  The public API is
 unchanged — ``DesignFlow(...).run() -> FlowResult``.
 """
 
@@ -42,7 +43,7 @@ from repro.executive.generator import generate_executive
 from repro.executive.macrocode import ExecutiveProgram
 from repro.flows.constraints import DynamicConstraints
 from repro.flows.modular import ModularDesignResult, run_modular_backend
-from repro.flows.observe import FlowEvent, FlowObserver
+from repro.flows.observe import FlowEvent
 from repro.flows.pipeline import (
     ArtifactCache,
     FlowPipeline,
@@ -203,8 +204,6 @@ class DesignFlow:
     #: fields are deliberately not part of any fingerprint: they gate the
     #: result, they do not change the artefacts.
     cache: Optional[ArtifactCache] = None
-    #: Stage-event sink; defaults to the ``repro.flows`` logging channel.
-    observer: Optional[FlowObserver] = None
 
     @classmethod
     def from_design(cls, design, **overrides) -> "DesignFlow":
@@ -240,7 +239,7 @@ class DesignFlow:
         return {}
 
     def build_pipeline(self) -> FlowPipeline:
-        """The six Fig. 3 stages wired through the cache and observer.
+        """The six Fig. 3 stages wired through the cache.
 
         Call :meth:`run` unless you need stage-level control.  Dynamic
         constraints must already be applied to ``self.mapping`` (``run``
@@ -384,7 +383,6 @@ class DesignFlow:
         return FlowPipeline(
             stages,
             cache=self.cache,
-            observer=self.observer,
             flow_name=f"{graph.name}@{board.name}",
         )
 

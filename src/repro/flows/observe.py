@@ -1,58 +1,69 @@
-"""Flow observability: structured per-stage events and pluggable sinks.
+"""Flow narration: rows rebuilt from the spans of one recording.
 
-Every stage of the :class:`~repro.flows.pipeline.FlowPipeline` emits one
-:class:`FlowEvent` describing what happened — stage name, wall time, whether
-the content-addressed cache served the artefact, and a few stage-specific
-result metrics.  Consumers subscribe through the :class:`FlowObserver`
-protocol; library code never writes to stdout on its own:
+A run narrates itself through the ambient tracer (:mod:`repro.obs.tracer`)
+and nothing else.  Any span carrying a ``flow`` attribute is a *row*:
 
-- :class:`LoggingObserver` (the default) routes events to the standard
-  ``logging`` channel ``repro.flows`` — silent unless the application
-  configures a handler;
-- :class:`JsonLinesObserver` appends one JSON object per event to a file or
-  stream, for external tooling and benchmark harnesses;
-- :class:`RecordingObserver` keeps events in memory (tests, profiling);
-- :class:`CompositeObserver` fans one event out to several sinks.
+- a pipeline stage span ``stage:<name>`` carries ``flow``, ``cache_hit``,
+  the stage's full ``fingerprint`` and one ``metric.<name>`` attribute per
+  stage metric;
+- the sweep engine records one ``sweep:<kind>`` span per lifecycle step
+  (job dispatched/started/finished/retried/timed out/failed, worker
+  spawned/crashed, sweep completed) carrying ``flow`` and its metrics;
+- the link engine's ``link:batch``, ``link:point`` and ``link:run`` spans
+  carry ``flow`` and their batch or run metrics.
 
-:func:`render_profile` turns a list of events into the per-stage table the
-CLI prints under ``--profile``.
+:class:`FlowEvent` is the row type: :meth:`FlowEvent.from_span` rebuilds one
+from its span, and :func:`row_attributes` writes the attributes it reads.
+The pipeline also keeps the rows it builds on ``FlowResult.events``, so an
+untraced run still reports its stages.  :func:`render_profile` (the CLI's
+``--profile``) and :func:`flow_rows` (behind ``--log-json``) are views of
+the same recording that ``--trace`` exports.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import IO, Iterable, Mapping, Optional, Protocol, runtime_checkable
+from typing import Iterable, Mapping
 
-__all__ = [
-    "FlowEvent",
-    "FlowObserver",
-    "LoggingObserver",
-    "JsonLinesObserver",
-    "RecordingObserver",
-    "CompositeObserver",
-    "render_profile",
-]
+from repro.obs.tracer import Span
+from repro.sim.metrics import interval_union
 
-logger = logging.getLogger("repro.flows")
+__all__ = ["FlowEvent", "row_attributes", "flow_rows", "render_profile"]
+
+_METRIC = "metric."
 
 
 @dataclass(frozen=True)
 class FlowEvent:
-    """One completed pipeline stage."""
+    """One narration row: a pipeline stage, sweep step or link batch."""
 
     flow: str  #: flow identity, e.g. ``"mccdma_tx@sundance"``
-    stage: str  #: stage name (``modelisation`` … ``executive``)
+    stage: str  #: stage name (``modelisation`` … ``executive``, ``sweep:*``, ``link:*``)
     cache_hit: bool  #: True when the artefact came from the ArtifactCache
     wall_time_s: float  #: wall-clock time spent in the stage (lookup + execute)
-    fingerprint: str  #: content-addressed key of the stage's inputs
+    fingerprint: str  #: content-addressed key of the stage's inputs ("" for non-stage rows)
     metrics: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def status(self) -> str:
         return "hit" if self.cache_hit else "miss"
+
+    @classmethod
+    def from_span(cls, span: Span) -> "FlowEvent":
+        """The row a span narrates; stage spans drop their ``stage:`` prefix."""
+        attributes = span.attributes
+        return cls(
+            flow=attributes["flow"],
+            stage=span.name.removeprefix("stage:"),
+            cache_hit=attributes.get("cache_hit", False),
+            wall_time_s=span.duration_ns / 1e9,
+            fingerprint=attributes.get("fingerprint", ""),
+            metrics={
+                key[len(_METRIC):]: value
+                for key, value in attributes.items()
+                if key.startswith(_METRIC)
+            },
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -66,160 +77,45 @@ class FlowEvent:
         }
 
 
-@runtime_checkable
-class FlowObserver(Protocol):
-    """Anything that wants to see pipeline stage events."""
-
-    def on_event(self, event: FlowEvent) -> None:  # pragma: no cover - protocol
-        ...
-
-
-class LoggingObserver:
-    """Default sink: the standard ``logging`` channel ``repro.flows``."""
-
-    def __init__(self, level: int = logging.INFO):
-        self.level = level
-
-    def on_event(self, event: FlowEvent) -> None:
-        logger.log(
-            self.level,
-            "[%s] %-18s %-4s %8.2f ms  %s  %s",
-            event.flow,
-            event.stage,
-            event.status,
-            event.wall_time_s * 1e3,
-            event.fingerprint[:12],
-            " ".join(f"{k}={v}" for k, v in sorted(event.metrics.items())),
-        )
+def row_attributes(flow: str, metrics: Mapping[str, object], **fields: object) -> dict:
+    """The span attributes that make a span the row :meth:`FlowEvent.from_span` reads."""
+    attributes = {"flow": flow, **fields}
+    for name, value in metrics.items():
+        attributes[_METRIC + name] = value
+    return attributes
 
 
-class JsonLinesObserver:
-    """Append one JSON object per event to ``target`` (path or text stream).
-
-    A path target is opened **once** in append mode and kept for the
-    observer's life (the previous open-per-event behaviour turned a 1000-job
-    sweep into 1000 open/close cycles); every line is flushed so external
-    tail readers see events live.  Close explicitly via :meth:`close` or use
-    the observer as a context manager; a stream target is never closed (the
-    caller owns it).
-
-    A write or flush against a handle that was closed under us — typically
-    interpreter shutdown tearing streams down while a late stage event is
-    still in flight — degrades to one logged warning and marks the sink
-    dead; subsequent events are dropped silently.  Observability must never
-    abort (or noisily crash out of) the run it is observing.
-    """
-
-    def __init__(self, target: str | Path | IO[str]):
-        self._stream: IO[str]
-        if isinstance(target, (str, Path)):
-            self._path: Optional[Path] = Path(target)
-            self._stream = self._path.open("a", encoding="utf-8")
-        else:
-            self._path = None
-            self._stream = target
-        self._dead = False
-
-    def on_event(self, event: FlowEvent) -> None:
-        if self._dead:
-            return
-        try:
-            self._stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-            self._stream.flush()
-        except (ValueError, OSError) as err:
-            # ValueError is "I/O operation on closed file"; OSError covers
-            # broken pipes and full disks.  Either way the sink is gone.
-            self._dead = True
-            try:
-                logger.warning(
-                    "JsonLinesObserver sink %s is gone (%s); dropping further events",
-                    self._path if self._path is not None else "<stream>", err,
-                )
-            except Exception:  # pragma: no cover - logging torn down too
-                pass
-
-    def close(self) -> None:
-        """Close the underlying file (only when this observer opened it)."""
-        if self._path is not None and not self._stream.closed:
-            try:
-                self._stream.close()
-            except (ValueError, OSError):  # pragma: no cover - racing shutdown
-                self._dead = True
-
-    def __enter__(self) -> "JsonLinesObserver":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+def _row_spans(spans: Iterable[Span]) -> list[Span]:
+    return [span for span in spans if "flow" in span.attributes]
 
 
-class RecordingObserver:
-    """Keep every event in memory; the workhorse of tests and profiling."""
-
-    def __init__(self) -> None:
-        self.events: list[FlowEvent] = []
-
-    def on_event(self, event: FlowEvent) -> None:
-        self.events.append(event)
-
-    def clear(self) -> None:
-        self.events.clear()
-
-    def count(self, stage: Optional[str] = None, cache_hit: Optional[bool] = None) -> int:
-        return sum(
-            1
-            for e in self.events
-            if (stage is None or e.stage == stage)
-            and (cache_hit is None or e.cache_hit == cache_hit)
-        )
-
-    def executions(self, stage: Optional[str] = None) -> int:
-        """Stages that actually ran (cache misses)."""
-        return self.count(stage=stage, cache_hit=False)
-
-    def hits(self, stage: Optional[str] = None) -> int:
-        return self.count(stage=stage, cache_hit=True)
+def flow_rows(spans: Iterable[Span]) -> list[FlowEvent]:
+    """Every row of a recording, in recording (span end) order."""
+    return [FlowEvent.from_span(span) for span in _row_spans(spans)]
 
 
-class CompositeObserver:
-    """Fan one event out to several observers.
-
-    Sinks are isolated from each other: an observer that raises is logged
-    (with traceback, once per observer — a broken sink would otherwise spam
-    one log record per stage) and the event still reaches the remaining
-    sinks.  Observability must never abort the run it is observing.
-    """
-
-    def __init__(self, *observers: FlowObserver):
-        self.observers = list(observers)
-        self._failed: set[int] = set()
-
-    def on_event(self, event: FlowEvent) -> None:
-        for obs in self.observers:
-            try:
-                obs.on_event(event)
-            except Exception:
-                if id(obs) not in self._failed:
-                    self._failed.add(id(obs))
-                    logger.exception(
-                        "observer %s raised on %s/%s; suppressing its further errors",
-                        type(obs).__name__, event.flow, event.stage,
-                    )
-
-
-def render_profile(events: Iterable[FlowEvent], aggregate: bool = False) -> str:
+def render_profile(spans: Iterable[Span], aggregate: bool = False) -> str:
     """Per-stage profile table (the CLI's ``--profile`` output).
 
-    The default layout prints one row per event — right for a single flow,
+    The default layout prints one line per row — right for a single flow,
     unreadable for a sweep that replays the same stages hundreds of times.
-    ``aggregate=True`` groups events by stage and reports execution count,
-    cache hit rate and total/mean wall time per stage instead.
+    ``aggregate=True`` groups rows by stage and reports execution count,
+    cache hit rate and total/mean wall time per stage instead.  Either way
+    the ``total`` line reports the wall time the rows cover (nested and
+    overlapping rows count once), and hits among the rows that carry a
+    fingerprint: the stage cache lookups.
     """
-    rows = list(events)
-    if not rows:
+    row_spans = _row_spans(spans)
+    if not row_spans:
         return "flow profile: no stage events recorded"
+    rows = [FlowEvent.from_span(span) for span in row_spans]
+    covered_ms = sum(
+        end - start for start, end in interval_union((s.start_ns, s.end_ns) for s in row_spans)
+    ) / 1e6
+    lookups = [e for e in rows if e.fingerprint]
+    hits = sum(1 for e in lookups if e.cache_hit)
     if aggregate:
-        return _render_profile_aggregate(rows)
+        return _render_profile_aggregate(rows, covered_ms, hits, len(lookups))
     width = max(len(e.stage) for e in rows)
     lines = [f"{'stage':<{width}}  {'cache':<5}  {'time':>10}  fingerprint   metrics"]
     for e in rows:
@@ -228,15 +124,13 @@ def render_profile(events: Iterable[FlowEvent], aggregate: bool = False) -> str:
             f"{e.stage:<{width}}  {e.status:<5}  {e.wall_time_s * 1e3:>7.2f} ms  "
             f"{e.fingerprint[:12]}  {metrics}".rstrip()
         )
-    total = sum(e.wall_time_s for e in rows)
-    hits = sum(1 for e in rows if e.cache_hit)
-    lines.append(
-        f"{'total':<{width}}  {hits}/{len(rows)} hit  {total * 1e3:>7.2f} ms"
-    )
+    lines.append(f"{'total':<{width}}  {hits}/{len(lookups)} hit  {covered_ms:>7.2f} ms")
     return "\n".join(lines)
 
 
-def _render_profile_aggregate(rows: list[FlowEvent]) -> str:
+def _render_profile_aggregate(
+    rows: list[FlowEvent], covered_ms: float, hits: int, lookups: int
+) -> str:
     """Per-stage rollup: count / hit rate / total + mean time, busiest first."""
     groups: dict[str, list[FlowEvent]] = {}
     for event in rows:
@@ -251,16 +145,14 @@ def _render_profile_aggregate(rows: list[FlowEvent]) -> str:
     )
     for stage, events in ordered:
         total = sum(e.wall_time_s for e in events)
-        hits = sum(1 for e in events if e.cache_hit)
+        stage_hits = sum(1 for e in events if e.cache_hit)
         lines.append(
-            f"{stage:<{width}}  {len(events):>5}  {hits:>4}  "
-            f"{100 * hits / len(events):>4.0f}%  {total * 1e3:>8.2f} ms  "
+            f"{stage:<{width}}  {len(events):>5}  {stage_hits:>4}  "
+            f"{100 * stage_hits / len(events):>4.0f}%  {total * 1e3:>8.2f} ms  "
             f"{total / len(events) * 1e3:>8.2f} ms"
         )
-    grand = sum(e.wall_time_s for e in rows)
-    grand_hits = sum(1 for e in rows if e.cache_hit)
+    rate = 100 * hits / lookups if lookups else 0.0
     lines.append(
-        f"{'total':<{width}}  {len(rows):>5}  {grand_hits:>4}  "
-        f"{100 * grand_hits / len(rows):>4.0f}%  {grand * 1e3:>8.2f} ms"
+        f"{'total':<{width}}  {lookups:>5}  {hits:>4}  {rate:>4.0f}%  {covered_ms:>8.2f} ms"
     )
     return "\n".join(lines)

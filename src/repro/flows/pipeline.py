@@ -12,7 +12,9 @@ gives it a first-class representation:
 - :class:`ArtifactCache` is a content-addressed store (in-memory LRU with an
   optional on-disk pickle tier) keyed by those digests.
 - :class:`Stage` + :class:`FlowPipeline` run a sequence of stages through
-  the cache, emitting one :class:`~repro.flows.observe.FlowEvent` per stage.
+  the cache, building one :class:`~repro.flows.observe.FlowEvent` row per
+  stage; under a recording tracer each stage is also a ``stage:`` span
+  carrying that row.
 
 Stage keys are *derivation keys*: each stage's key digests its own direct
 inputs plus the keys of the upstream stages it consumes, so any upstream
@@ -40,7 +42,7 @@ from repro.arch.graph import ArchitectureGraph
 from repro.dfg.graph import AlgorithmGraph
 from repro.dfg.library import OperationLibrary
 from repro.fabric.device import VirtexIIDevice
-from repro.flows.observe import FlowEvent, FlowObserver, LoggingObserver
+from repro.flows.observe import FlowEvent, row_attributes
 
 __all__ = [
     "fingerprint",
@@ -409,7 +411,7 @@ class Stage:
     (stage name → artefact), so a stage's derivation key can chain on its
     predecessors' keys and its body can consume their results.  ``metrics``
     optionally extracts a small JSON-safe summary from the artefact for the
-    stage's :class:`~repro.flows.observe.FlowEvent`.
+    stage's :class:`~repro.flows.observe.FlowEvent` row.
     """
 
     name: str
@@ -422,17 +424,14 @@ class FlowPipeline:
     """Run stages in order through an (optional) content-addressed cache.
 
     Each stage computes its derivation key, consults the cache, executes on
-    a miss, stores the artefact, and emits a :class:`FlowEvent` to the
-    observer.  With no cache every stage executes; with no observer events
-    go to the default :class:`~repro.flows.observe.LoggingObserver` (silent
-    unless the application configures logging).
+    a miss, stores the artefact, and appends its :class:`FlowEvent` row to
+    :attr:`events`.  With no cache every stage executes.
     """
 
     def __init__(
         self,
         stages: Sequence[Stage],
         cache: Optional[ArtifactCache] = None,
-        observer: Optional[FlowObserver] = None,
         flow_name: str = "flow",
     ):
         names = [s.name for s in stages]
@@ -440,7 +439,6 @@ class FlowPipeline:
             raise ValueError(f"duplicate stage names: {names}")
         self.stages = list(stages)
         self.cache = cache
-        self.observer = observer if observer is not None else LoggingObserver()
         self.flow_name = flow_name
         self.events: list[FlowEvent] = []
         self.keys: dict[str, str] = {}
@@ -450,11 +448,11 @@ class FlowPipeline:
 
         When a recording tracer is installed (:func:`repro.obs.get_tracer`),
         the run becomes a ``flow:`` span with one ``stage:`` child span per
-        stage; when a telemetry hub is installed
+        stage, each carrying its row's attributes (see
+        :mod:`repro.flows.observe`); when a telemetry hub is installed
         (:func:`repro.obs.get_telemetry`), stage counts, cache traffic,
         wall times and numeric stage metrics go into its ``run`` store.
-        The :class:`FlowEvent` stream is unchanged either way — tracing
-        wraps the events, it never rewrites them.
+        The rows in :attr:`events` are the same either way.
         """
         from repro.obs import get_telemetry, get_tracer
 
@@ -486,11 +484,11 @@ class FlowPipeline:
                     metrics=dict(stage.metrics(artifact)) if stage.metrics is not None else {},
                 )
                 if tracer.enabled:
-                    stage_span.set_attribute("flow", self.flow_name)
-                    stage_span.set_attribute("cache_hit", hit)
-                    stage_span.set_attribute("fingerprint", key[:16])
-                    for name, value in event.metrics.items():
-                        stage_span.set_attribute(f"metric.{name}", value)
+                    stage_span.attributes.update(
+                        row_attributes(
+                            self.flow_name, event.metrics, cache_hit=hit, fingerprint=key
+                        )
+                    )
                 if hub is not None:
                     totals = hub.store("run")
                     totals.counter_add("flow.stages_total", 0)
@@ -508,5 +506,4 @@ class FlowPipeline:
                             totals.observe(f"stage.{stage.name}.{name}", 0, value)
                 stage_span.end()
                 self.events.append(event)
-                self.observer.on_event(event)
         return artifacts

@@ -25,22 +25,21 @@ that loop fast without changing a single output bit:
   (:class:`LinkPointJob` plugs into the generic job protocol of
   :func:`repro.exec.worker.run_job`), inheriting its per-job timeout, retry
   with backoff and crash isolation.
-- **Observability** — every batch and every completed point emits a
-  :class:`~repro.flows.observe.FlowEvent` (stages ``link:batch``,
-  ``link:point``, ``link:run``), so ``--profile`` and ``--log-json`` cover
-  link runs exactly as they cover design-flow runs.
+- **Observability** — under a recording tracer every batch and every
+  completed point or run is a row span (``link:batch``, ``link:point``,
+  ``link:run``; see :mod:`repro.flows.observe`), so ``--profile`` and
+  ``--log-json`` cover link runs exactly as they cover design-flow runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.flows.observe import FlowEvent, FlowObserver
+from repro.flows.observe import row_attributes
 from repro.obs import get_telemetry, get_tracer
 from repro.mccdma.adaptive import AdaptiveModulationController
 from repro.mccdma.channel import AWGNChannel
@@ -203,33 +202,15 @@ class LinkSimulationEngine:
         self,
         config: Optional[MCCDMAConfig] = None,
         engine: Optional[LinkEngineConfig] = None,
-        observer: Optional[FlowObserver] = None,
         threshold_db: float = 2.0,
         hysteresis_db: float = 1.0,
     ):
         self.config = config or MCCDMAConfig()
         self.engine = engine or LinkEngineConfig()
-        self.observer = observer
         self.threshold_db = threshold_db
         self.hysteresis_db = hysteresis_db
         self.tx = MCCDMATransmitter(self.config)
         self.rx = MCCDMAReceiver(self.config)
-
-    # -- events -----------------------------------------------------------------
-
-    def _emit(self, stage: str, flow: str, wall_s: float, metrics: dict) -> None:
-        if self.observer is None:
-            return
-        self.observer.on_event(
-            FlowEvent(
-                flow=flow,
-                stage=stage,
-                cache_hit=False,
-                wall_time_s=wall_s,
-                fingerprint="",
-                metrics=metrics,
-            )
-        )
 
     # -- plans ------------------------------------------------------------------
 
@@ -348,7 +329,7 @@ class LinkSimulationEngine:
     def _run(self, strategy, trace, seed, *, early_stop, run_stage) -> LinkResult:
         cfg = self.engine
         tracer = get_tracer()
-        run_span = tracer.span(f"{run_stage}:{strategy}").start()
+        run_span = tracer.span(run_stage).start()
         plans, switches_after = self._plans(strategy, trace)
         streams = frame_seed_sequences(seed, len(trace))
         acc = _Accumulator()
@@ -356,32 +337,27 @@ class LinkSimulationEngine:
         run_batch = (
             self._run_batch_vectorized if cfg.batched else self._run_batch_reference
         )
-        started = perf_counter()
         stopped_early = False
         for start in range(0, len(trace), cfg.batch_frames):
             indices = list(range(start, min(start + cfg.batch_frames, len(trace))))
-            batch_started = perf_counter()
             batch_span = tracer.span("link:batch").start() if tracer.enabled else None
             run_batch(indices, trace, plans, streams, acc)
             halfwidth = wilson_halfwidth(acc.error_bits, acc.total_bits, cfg.ci_z)
             if batch_span is not None:
-                batch_span.set_attribute("frames", len(indices))
-                batch_span.set_attribute("frames_done", acc.n_frames)
-                batch_span.set_attribute("error_bits", acc.error_bits)
+                batch_span.attributes.update(
+                    row_attributes(
+                        flow,
+                        {
+                            "frames": len(indices),
+                            "frames_done": acc.n_frames,
+                            "error_bits": acc.error_bits,
+                            "ber": acc.error_bits / acc.total_bits if acc.total_bits else 0.0,
+                            "ci_halfwidth": halfwidth,
+                            "batched": cfg.batched,
+                        },
+                    )
+                )
                 batch_span.end()
-            self._emit(
-                "link:batch",
-                flow,
-                perf_counter() - batch_started,
-                {
-                    "frames": len(indices),
-                    "frames_done": acc.n_frames,
-                    "error_bits": acc.error_bits,
-                    "ber": acc.error_bits / acc.total_bits if acc.total_bits else 0.0,
-                    "ci_halfwidth": halfwidth,
-                    "batched": cfg.batched,
-                },
-            )
             if (
                 early_stop
                 and cfg.ci_halfwidth is not None
@@ -399,25 +375,20 @@ class LinkSimulationEngine:
             delivered_bits=acc.delivered_bits,
             frames_ok=acc.frames_ok,
         )
-        self._emit(
-            run_stage,
-            flow,
-            perf_counter() - started,
-            {
-                "frames": result.n_frames,
-                "frames_requested": len(trace),
-                "ber": result.ber,
-                "switches": result.switches,
-                "early_stopped": stopped_early,
-                "batched": cfg.batched,
-            },
-        )
         if tracer.enabled:
-            run_span.set_attribute("strategy", strategy)
-            run_span.set_attribute("frames", result.n_frames)
-            run_span.set_attribute("ber", result.ber)
-            run_span.set_attribute("switches", result.switches)
-            run_span.set_attribute("early_stopped", stopped_early)
+            run_span.attributes.update(
+                row_attributes(
+                    flow,
+                    {
+                        "frames": result.n_frames,
+                        "frames_requested": len(trace),
+                        "ber": result.ber,
+                        "switches": result.switches,
+                        "early_stopped": stopped_early,
+                        "batched": cfg.batched,
+                    },
+                )
+            )
         hub = get_telemetry()
         if hub is not None:
             totals = hub.store("run")
@@ -475,7 +446,6 @@ class LinkSimulationEngine:
             timeout_s=timeout_s,
             retries=retries,
             backoff_s=backoff_s,
-            observer=self.observer,
             sweep_name=f"linklevel:{strategy}",
             pool=pool,
         )
@@ -513,13 +483,10 @@ class LinkPointJob:
     #: Fault-injection hook honoured by :func:`repro.exec.worker.run_job`.
     fault: Optional[str] = None
 
-    def execute(
-        self, attempt: int = 1, cache: Any = None, observer: Optional[FlowObserver] = None
-    ) -> dict[str, Any]:
+    def execute(self, attempt: int = 1, cache: Any = None) -> dict[str, Any]:
         engine = LinkSimulationEngine(
             config=self.config,
             engine=self.engine,
-            observer=observer,
             threshold_db=self.threshold_db,
             hysteresis_db=self.hysteresis_db,
         )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.flows.observe import FlowObserver
 from repro.mccdma.engine import LinkEngineConfig, LinkResult, LinkSimulationEngine
 from repro.mccdma.transmitter import MCCDMAConfig
 
@@ -33,7 +32,6 @@ def simulate_link(
     hysteresis_db: float = 1.0,
     batched: bool = True,
     batch_frames: int = 64,
-    observer: Optional[FlowObserver] = None,
 ) -> LinkResult:
     """Transmit one frame per SNR-trace entry; returns aggregate stats.
 
@@ -55,7 +53,6 @@ def simulate_link(
     engine = LinkSimulationEngine(
         config=config,
         engine=LinkEngineConfig(batch_frames=batch_frames, batched=batched),
-        observer=observer,
         threshold_db=threshold_db,
         hysteresis_db=hysteresis_db,
     )
@@ -68,14 +65,13 @@ def adaptive_vs_fixed(
     threshold_db: float = 2.0,
     hysteresis_db: float = 1.0,
     batched: bool = True,
-    observer: Optional[FlowObserver] = None,
 ) -> dict[str, LinkResult]:
     """All three strategies over the same channel realization."""
     return {
         strategy: simulate_link(
             strategy, snr_trace_db, seed=seed,
             threshold_db=threshold_db, hysteresis_db=hysteresis_db,
-            batched=batched, observer=observer,
+            batched=batched,
         )
         for strategy in ("qpsk", "qam16", "adaptive")
     }

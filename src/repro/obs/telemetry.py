@@ -14,10 +14,11 @@ Three pieces:
   a mergeable :class:`~repro.obs.sketch.QuantileSketch`.  A ring retention
   policy drops the oldest windows once ``retention`` is exceeded, so a
   million-request run holds a sliding frame of recent history instead of
-  growing without bound.  Vectorized ``*_array`` recorders exist for the
-  fast fleet engine's step-batch flushes: they validate and append array
-  *references* (a write-behind buffer) and the windowed aggregation runs
-  lazily at first read — the simulation's timed path pays list appends,
+  growing without bound.  One write-behind entry point,
+  :meth:`~TimeSeriesStore.defer_array`, serves the fast fleet engine's
+  step-batch flushes: it appends a zero-argument batch producer, and the
+  producer runs, is validated and is aggregated into windows at the
+  series' first read — the simulation's timed path pays a list append,
   the dashboard/export/SLO reader pays the numpy grouping.
 - :class:`SloMonitor` — evaluates declarative :class:`SloRule` objects
   (floor / ceiling / band, optionally on a sketch quantile or on the ratio
@@ -99,8 +100,8 @@ class _Series:
     kind: str
     #: window index -> int/float (counter, gauge) or QuantileSketch
     windows: dict = field(default_factory=dict)
-    #: write-behind buffer of un-aggregated ``(t, values)`` array batches
-    #: appended by the ``*_array`` recorders; drained on first read
+    #: write-behind buffer of ``(t, values)`` batch producers appended by
+    #: :meth:`TimeSeriesStore.defer_array`; drained on first read
     pending: list = field(default_factory=list)
 
 
@@ -179,90 +180,18 @@ class TimeSeriesStore:
         sketch.add(value)
         self._retain(series)
 
-    def counter_add_array(
-        self,
-        name: str,
-        t: np.ndarray,
-        values: Optional[np.ndarray] = None,
-        **labels,
-    ) -> None:
-        """Vectorized counter adds: event times ``t``, weights ``values``
-        (default 1 each).
-
-        Write-behind: the call validates, captures the arrays *by
-        reference* (callers must not mutate them afterwards) and returns;
-        the windowed aggregation happens lazily when the series is next
-        read.  The simulation hot path — a fleet flush spanning hundreds
-        of windows — pays a list append; the ≤5% overhead guard in
-        ``bench_obs_overhead.py`` watches this path.
-        """
-        t = np.asarray(t)
-        if values is not None:
-            values = np.asarray(values)
-            if values.shape != t.shape:
-                raise ValueError(
-                    f"counter {name!r}: t and values must match, "
-                    f"got {t.shape} vs {values.shape}"
-                )
-            if values.size and np.any(values < 0):
-                raise ValueError(f"counter {name!r}: increments must be >= 0")
-        if t.size == 0:
-            return
-        self._get_series(name, labels, "counter").pending.append((t, values))
-
-    def observe_array(self, name: str, t: np.ndarray, values: np.ndarray, **labels) -> None:
-        """Vectorized sketch observations grouped by window.
-
-        Write-behind like :meth:`counter_add_array`: validation is eager
-        (so a bad batch fails at the call site), the bucketing pass runs
-        at first read.
-        """
-        t = np.asarray(t)
-        values = np.asarray(values).ravel()
-        if values.shape != t.shape:
-            raise ValueError(
-                f"series {name!r}: t and values must match, "
-                f"got {t.shape} vs {values.shape}"
-            )
-        if t.size == 0:
-            return
-        if np.any(values < 0) or not np.all(np.isfinite(values)):
-            raise ValueError(f"series {name!r}: sketch values must be finite and >= 0")
-        self._get_series(name, labels, "quantile").pending.append((t, values))
-
-    def gauge_add_array(self, name: str, t: np.ndarray, values: np.ndarray, **labels) -> None:
-        """Vectorized *additive* gauge ingestion: per-window sums of
-        ``values`` are **added** to the window's gauge value.
-
-        This is the array form for derived rate/occupancy series (port
-        utilization = busy-ns contributions summed per window): successive
-        batches over disjoint event sets accumulate correctly, unlike the
-        last-write-wins scalar :meth:`gauge_set`.  Write-behind like the
-        other ``*_array`` recorders.
-        """
-        t = np.asarray(t)
-        values = np.asarray(values).ravel()
-        if values.shape != t.shape:
-            raise ValueError(
-                f"gauge {name!r}: t and values must match, "
-                f"got {t.shape} vs {values.shape}"
-            )
-        if t.size == 0:
-            return
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"gauge {name!r}: values must be finite")
-        self._get_series(name, labels, "gauge").pending.append((t, values))
-
     def defer_array(self, name: str, kind: str, batch, **labels) -> None:
         """Append a lazy ``(t, values)`` batch producer (write-behind).
 
-        ``batch`` is a zero-argument callable returning the arrays a
-        ``*_array`` recorder would have been given (``values`` may be None
-        for an unweighted counter batch).  It runs once, at the series'
-        next read — instrumentation that must not even pay concatenation
-        inside a timed region (the fast fleet engine's flush) hands over
-        closures capturing raw per-step arrays instead.  Validation moves
-        to materialization, so a bad producer fails at the first read.
+        ``batch`` is a zero-argument callable returning event times ``t``
+        and per-event ``values``: counter increments (None counts one per
+        event), gauge contributions *added* to each window (port busy-ns
+        summed per window, unlike the last-write-wins :meth:`gauge_set`),
+        or sketch observations.  It runs once, at the series' next read —
+        instrumentation that must not even pay concatenation inside a
+        timed region (the fast fleet engine's flush) hands over closures
+        capturing raw per-step arrays.  Validation happens then too, so a
+        bad producer fails at the first read.
         """
         if kind not in _KINDS:
             raise ValueError(f"unknown series kind {kind!r}")
@@ -288,23 +217,20 @@ class TimeSeriesStore:
         return windows - wmin, np.arange(wmin, wmin + n_slots)
 
     def _drain(self, series: _Series) -> None:
-        """Aggregate a series' pending array batches into its windows."""
+        """Run a series' pending batch producers and aggregate into windows."""
         if not series.pending:
             return
         pending, series.pending = series.pending, []
         batches = []
-        for entry in pending:
-            if callable(entry):
-                t, values = entry()
-                t = np.asarray(t)
-                if values is not None:
-                    values = np.asarray(values).ravel()
-                if t.size == 0:
-                    continue
-                self._check_batch(series.kind, t, values)
-                batches.append((t, values))
-            else:
-                batches.append(entry)
+        for batch in pending:
+            t, values = batch()
+            t = np.asarray(t)
+            if values is not None:
+                values = np.asarray(values).ravel()
+            if t.size == 0:
+                continue
+            self._check_batch(series.kind, t, values)
+            batches.append((t, values))
         if not batches:
             return
         if series.kind == "counter":
@@ -334,7 +260,7 @@ class TimeSeriesStore:
         self._retain(series)
 
     def _check_batch(self, kind: str, t: np.ndarray, values) -> None:
-        """The eager ``*_array`` validation, applied to a deferred batch."""
+        """Validate one materialized ``(t, values)`` batch of a ``kind`` series."""
         if values is None:
             if kind != "counter":
                 raise ValueError(f"deferred {kind} batch must carry values")

@@ -542,6 +542,6 @@ class FleetJob:
             f"-seed{c.seed}-{c.fingerprint()[:12]}"
         )
 
-    def execute(self, attempt: int = 0, cache=None, observer=None) -> dict:
+    def execute(self, attempt: int = 0, cache=None) -> dict:
         report = run_fleet(self.config)
         return report.to_dict()

@@ -40,7 +40,6 @@ from typing import Any, Optional
 from repro.dfg.graph import AlgorithmGraph
 from repro.dfg.library import OperationLibrary
 from repro.fabric.device import VirtexIIDevice, XC2V2000
-from repro.flows.observe import FlowObserver
 from repro.reconfig.architectures import ReconfigArchitecture
 from repro.search.anneal import SearchConfig, SearchResult, run_search
 from repro.search.objective import CostEvaluator, CostWeights
@@ -73,9 +72,7 @@ class SearchRestartJob:
     #: Fault-injection hook honoured by :func:`repro.exec.worker.run_job`.
     fault: Optional[str] = None
 
-    def execute(
-        self, attempt: int = 1, cache: Any = None, observer: Optional[FlowObserver] = None
-    ) -> dict[str, Any]:
+    def execute(self, attempt: int = 1, cache: Any = None) -> dict[str, Any]:
         space = SearchSpace(
             self.graph, self.library, device=self.device, max_regions=self.max_regions
         )
@@ -160,7 +157,6 @@ def run_search_sharded(
     timeout_s: Optional[float] = None,
     retries: int = 1,
     cache_dir: Optional[str] = None,
-    observer: Optional[FlowObserver] = None,
     pool=None,
 ) -> SearchResult:
     """Run a multi-restart search with one engine job per restart.
@@ -191,7 +187,6 @@ def run_search_sharded(
         timeout_s=timeout_s,
         retries=retries,
         cache_dir=cache_dir,
-        observer=observer,
         sweep_name=f"search:{graph.name}:{method}",
         pool=pool,
     )

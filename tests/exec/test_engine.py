@@ -19,8 +19,11 @@ import pytest
 from repro.dfg.library import default_library
 from repro.exec import ParallelSweepEngine
 from repro.fabric.device import XC2V1000
-from repro.flows import RecordingObserver, parse_constraints, sweep_jobs_for_grid
+from repro.flows import flow_rows, parse_constraints, sweep_jobs_for_grid
 from repro.mccdma.casestudy import build_mccdma_graph
+from repro.mccdma.engine import LinkEngineConfig, LinkPointJob
+from repro.mccdma.transmitter import MCCDMAConfig
+from repro.obs import Tracer, use_tracer
 from repro.reconfig import case_a_standalone, case_b_processor
 
 CONSTRAINTS = parse_constraints("""
@@ -55,6 +58,17 @@ def with_fault(job, job_id, fault):
     return dataclasses.replace(job, job_id=job_id, fault=fault)
 
 
+def traced_run(engine, jobs):
+    """Run ``jobs`` under a recording tracer: the report and the run's rows."""
+    with use_tracer(Tracer()) as tracer:
+        report = engine.run(jobs)
+    return report, flow_rows(tracer.spans)
+
+
+def sweep_kinds(rows):
+    return [e.stage for e in rows if e.stage.startswith("sweep:")]
+
+
 # -- construction ------------------------------------------------------------------
 
 
@@ -80,40 +94,65 @@ def test_empty_sweep_completes():
 
 
 def test_sweep_event_kind_is_validated():
-    recorder = RecordingObserver()
-    engine = ParallelSweepEngine(jobs=0, observer=recorder, sweep_name="s")
-    engine._events = []
+    engine = ParallelSweepEngine(jobs=0, sweep_name="s")
     with pytest.raises(ValueError, match="unknown sweep event kind"):
-        engine._emit("not_a_kind")
-    engine._emit("job_finished", job="j1", worker=3, attempt=2, detail="x")
-    (flow_event,) = recorder.events
-    assert flow_event.stage == "sweep:job_finished"
-    assert flow_event.flow == "s/j1"
-    assert flow_event.metrics == {"worker": 3, "attempt": 2, "detail": "x"}
-    assert not flow_event.cache_hit and flow_event.fingerprint == ""
+        engine._emit("not_a_kind")  # checked even when nothing records
+    with use_tracer(Tracer()) as tracer:
+        with pytest.raises(ValueError, match="unknown sweep event kind"):
+            engine._emit("not_a_kind")
+        engine._emit(
+            "job_finished", job="j1", worker=3, attempt=2, wall_time_s=0.25, detail="x"
+        )
+    (span,) = tracer.spans
+    assert span.name == "sweep:job_finished"
+    assert span.duration_ns == 250_000_000  # lasts the step, ends at emit time
+    (row,) = flow_rows(tracer.spans)
+    assert row.stage == "sweep:job_finished"
+    assert row.flow == "s/j1"
+    assert row.metrics == {"worker": 3, "attempt": 2, "detail": "x"}
+    assert not row.cache_hit and row.fingerprint == ""
 
 
 # -- serial in-process mode (jobs=0) ------------------------------------------------
 
 
 def test_serial_mode_runs_the_grid_and_streams_events(tmp_path):
-    recorder = RecordingObserver()
-    engine = ParallelSweepEngine(
-        jobs=0, cache_dir=tmp_path / "cache", observer=recorder, sweep_name="serial"
+    engine = ParallelSweepEngine(jobs=0, cache_dir=tmp_path / "cache", sweep_name="serial")
+    report, rows = traced_run(
+        engine, grid_jobs(architectures=(case_a_standalone(), case_b_processor()))
     )
-    report = engine.run(grid_jobs(architectures=(case_a_standalone(), case_b_processor())))
     assert [r.ok for r in report.results] == [True, True]
     assert [r.job_id for r in report.results] == [
         "xc2v1000@case_a_standalone",
         "xc2v1000@case_b_processor",
     ]
-    # Stage events flowed through the observer; shared cache produced hits.
+    # The shared cache produced hits; its counts match the stage rows.
     assert report.cache_lookups() == 12  # 2 jobs x 6 stages
     assert report.cache_hits() > 0
-    kinds = [e.stage for e in report.events if e.stage.startswith("sweep:")]
+    stages = [e for e in rows if e.fingerprint]
+    assert len(stages) == 12
+    assert sum(e.cache_hit for e in stages) == report.cache_hits()
+    kinds = sweep_kinds(rows)
     assert kinds.count("sweep:job_finished") == 2
     assert kinds[-1] == "sweep:sweep_completed"
-    assert recorder.events  # same stream reached the observer
+
+
+def test_cache_counts_come_from_the_jobs_caches():
+    """A link point never touches the artifact cache, so its batch and point
+    rows are not stage lookups."""
+    job = LinkPointJob(
+        job_id="p0", strategy="qpsk", snr_db=4.0, n_frames=8, seed_entropy=0,
+        point_index=0, config=MCCDMAConfig(user_codes=(0,)),
+        engine=LinkEngineConfig(batch_frames=4),
+    )
+    report, rows = traced_run(ParallelSweepEngine(jobs=0), [job])
+    assert [e.stage for e in rows if e.stage.startswith("link:")] == [
+        "link:batch", "link:batch", "link:point",
+    ]
+    assert report.cache_lookups() == 0 and report.cache_hits() == 0
+    assert report.to_dict()["cache_lookups"] == 0
+    completed = next(e for e in rows if e.stage == "sweep:sweep_completed")
+    assert completed.metrics["cache_lookups"] == 0
 
 
 def test_serial_mode_retries_then_reports_failure():
@@ -131,12 +170,11 @@ def test_serial_mode_retries_then_reports_failure():
 
 
 def test_parallel_sweep_matches_expected_points(tmp_path):
-    recorder = RecordingObserver()
     engine = ParallelSweepEngine(
-        jobs=2, timeout_s=300, retries=1, cache_dir=tmp_path / "cache", observer=recorder
+        jobs=2, timeout_s=300, retries=1, cache_dir=tmp_path / "cache"
     )
     jobs = grid_jobs(architectures=(case_a_standalone(), case_b_processor()))
-    report = engine.run(jobs)
+    report, rows = traced_run(engine, jobs)
     # Results in submission order, independent of completion order.
     assert [r.job_id for r in report.results] == [j.job_id for j in jobs]
     assert all(r.ok for r in report.results)
@@ -144,9 +182,10 @@ def test_parallel_sweep_matches_expected_points(tmp_path):
     assert payload["fits"] is True
     assert payload["makespan_ns"] > 0
     assert payload["reconfig_latency_ns"]["D1"] > 0
-    # Worker stage events were streamed back into the observer layer.
-    stage_names = {e.stage for e in recorder.events if not e.stage.startswith("sweep:")}
-    assert "adequation" in stage_names and "modular_backend" in stage_names
+    # Worker stage rows came back with the workers' spans.
+    stage_rows = [e for e in rows if not e.stage.startswith("sweep:")]
+    assert {e.stage for e in stage_rows} >= {"adequation", "modular_backend"}
+    assert len(stage_rows) == report.cache_lookups() == 12
     assert report.to_dict()["succeeded"] == 2
 
 
@@ -161,7 +200,7 @@ def test_parallel_faults_retry_then_report_without_deadlock(tmp_path):
     engine = ParallelSweepEngine(
         jobs=2, timeout_s=15, retries=1, backoff_s=0.01, cache_dir=tmp_path / "cache"
     )
-    report = engine.run([good, raiser, crasher, hung])
+    report, rows = traced_run(engine, [good, raiser, crasher, hung])
     by_id = {r.job_id: r for r in report.results}
     assert len(report.results) == 4  # nothing lost
     assert by_id[good.job_id].ok
@@ -169,7 +208,7 @@ def test_parallel_faults_retry_then_report_without_deadlock(tmp_path):
     assert "injected fault" in by_id["raiser"].error
     assert not by_id["crasher"].ok and "crashed" in by_id["crasher"].error
     assert not by_id["hung"].ok and "timed out" in by_id["hung"].error
-    kinds = [e.stage for e in report.events if e.stage.startswith("sweep:")]
+    kinds = sweep_kinds(rows)
     assert "sweep:job_retried" in kinds
     assert "sweep:job_timeout" in kinds
     assert "sweep:worker_crashed" in kinds

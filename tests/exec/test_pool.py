@@ -26,7 +26,7 @@ import pytest
 from repro.dfg.library import default_library
 from repro.exec import ParallelSweepEngine, WorkerPool
 from repro.fabric.device import XC2V1000
-from repro.flows import parse_constraints, sweep_jobs_for_grid
+from repro.flows import flow_rows, parse_constraints, sweep_jobs_for_grid
 from repro.mccdma.casestudy import build_mccdma_graph
 from repro.mccdma.engine import LinkEngineConfig, LinkPointJob
 from repro.mccdma.transmitter import MCCDMAConfig
@@ -71,8 +71,12 @@ def link_jobs(n, frames=6, faults=()):
     ]
 
 
-def sweep_kinds(report):
-    return [e.stage for e in report.events if e.stage.startswith("sweep:")]
+def traced_kinds(engine, jobs):
+    """Run ``jobs`` under a recording tracer: the report and its ``sweep:*``
+    step names in recording order."""
+    with use_tracer(Tracer()) as tracer:
+        report = engine.run(jobs)
+    return report, [e.stage for e in flow_rows(tracer.spans) if e.stage.startswith("sweep:")]
 
 
 # -- pool mechanics ----------------------------------------------------------------
@@ -111,14 +115,13 @@ def test_engine_ignores_jobs_param_when_pool_given():
 def test_second_run_reuses_warm_workers_without_respawn():
     engine = ParallelSweepEngine(jobs=2, timeout_s=120, sweep_name="warm")
     try:
-        first = engine.run(link_jobs(4))
+        first, kinds = traced_kinds(engine, link_jobs(4))
         assert all(r.ok for r in first.results)
-        assert sweep_kinds(first).count("sweep:worker_spawned") == 2
-        assert "sweep:pool_reused" not in sweep_kinds(first)
+        assert kinds.count("sweep:worker_spawned") == 2
+        assert "sweep:pool_reused" not in kinds
 
-        second = engine.run(link_jobs(4))
+        second, kinds = traced_kinds(engine, link_jobs(4))
         assert all(r.ok for r in second.results)
-        kinds = sweep_kinds(second)
         assert "sweep:pool_reused" in kinds
         assert "sweep:worker_spawned" not in kinds  # nothing respawned
         assert engine.pool.spawned_total == 2  # lifetime: exactly one spawn each
@@ -188,13 +191,13 @@ def test_hang_degrades_one_job_and_pool_survives_for_next_run():
     )
     try:
         jobs = link_jobs(4, faults={1: "hang"})
-        report = engine.run(jobs)
+        report, kinds = traced_kinds(engine, jobs)
         by_id = {r.job_id: r for r in report.results}
         assert len(report.results) == 4
         assert not by_id["pt01"].ok and "timed out" in by_id["pt01"].error
         for job_id in ("pt00", "pt02", "pt03"):
             assert by_id[job_id].ok, by_id[job_id].error
-        assert "sweep:job_timeout" in sweep_kinds(report)
+        assert "sweep:job_timeout" in kinds
 
         # The pool is still serviceable: the next run completes cleanly.
         again = engine.run(link_jobs(3))
@@ -213,12 +216,11 @@ def test_worker_death_between_failed_attempt_and_redispatch_is_respawned():
         jobs=1, timeout_s=120, retries=1, backoff_s=0.05, sweep_name="respawn"
     )
     try:
-        report = engine.run(link_jobs(2, faults={0: "raise_exit"}))
+        report, kinds = traced_kinds(engine, link_jobs(2, faults={0: "raise_exit"}))
         by_id = {r.job_id: r for r in report.results}
         assert len(report.results) == 2  # nothing lost
         assert by_id["pt00"].ok and by_id["pt00"].attempts == 2
         assert by_id["pt01"].ok
-        kinds = sweep_kinds(report)
         assert "sweep:job_retried" in kinds
         assert "sweep:worker_crashed" in kinds
         assert "sweep:worker_respawned" in kinds
@@ -250,9 +252,8 @@ def test_crashed_worker_unstarted_jobs_keep_their_attempts():
 
 def test_prefetch_batches_jobs_ahead_of_completion():
     with ParallelSweepEngine(jobs=1, timeout_s=120, prefetch_depth=2) as engine:
-        report = engine.run(link_jobs(4))
+        report, kinds = traced_kinds(engine, link_jobs(4))
     assert all(r.ok for r in report.results)
-    kinds = sweep_kinds(report)
     # Two dispatches land before the first completion: the worker always
     # has the next job in hand when it finishes one.
     first_finish = kinds.index("sweep:job_finished")

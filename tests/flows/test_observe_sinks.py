@@ -1,125 +1,77 @@
-"""Observer sinks: JSONL file handling, composite fault isolation, profiles."""
+"""Narration rows: spans rebuilt into FlowEvent rows, and the profile view."""
 
-import json
-import logging
+import itertools
 
 import pytest
 
-from repro.flows.observe import (
-    CompositeObserver,
-    FlowEvent,
-    JsonLinesObserver,
-    RecordingObserver,
-    render_profile,
-)
+from repro.flows.observe import FlowEvent, flow_rows, render_profile, row_attributes
+from repro.obs import Span, SpanContext
+
+_IDS = itertools.count(1)
 
 
-def make_event(stage="adequation", cache_hit=False, wall=0.002, flow="f@a"):
-    return FlowEvent(
-        flow=flow, stage=stage, cache_hit=cache_hit, wall_time_s=wall,
-        fingerprint="deadbeef" * 8, metrics={"n": 1},
+def make_span(stage="adequation", cache_hit=False, wall=0.002, start=0.0,
+              fingerprint="deadbeef" * 8, flow="f@a", name=None):
+    """A finished row span ``wall`` seconds long starting ``start`` seconds in."""
+    attributes = row_attributes(flow, {"n": 1}, cache_hit=cache_hit)
+    if fingerprint:
+        attributes["fingerprint"] = fingerprint
+    return Span(
+        name=name or f"stage:{stage}",
+        context=SpanContext("t", f"s{next(_IDS)}"),
+        start_ns=round(start * 1e9),
+        duration_ns=round(wall * 1e9),
+        attributes=attributes,
     )
 
 
-# -- JsonLinesObserver --------------------------------------------------------
+# -- rows from spans ----------------------------------------------------------
 
 
-def test_jsonl_path_target_uses_one_handle(tmp_path):
-    target = tmp_path / "events.jsonl"
-    with JsonLinesObserver(target) as observer:
-        first_stream = observer._stream
-        observer.on_event(make_event(stage="a"))
-        observer.on_event(make_event(stage="b", cache_hit=True))
-        assert observer._stream is first_stream  # no reopen per event
-        # flushed per line: visible to concurrent readers before close
-        lines = target.read_text().splitlines()
-        assert len(lines) == 2
-    assert first_stream.closed
-    rows = [json.loads(line) for line in target.read_text().splitlines()]
-    assert [r["stage"] for r in rows] == ["a", "b"]
-    assert rows[1]["status"] == "hit"
+def test_from_span_reads_the_row_attributes():
+    span = make_span(stage="modular_backend", cache_hit=True, wall=0.25)
+    row = FlowEvent.from_span(span)
+    assert row == FlowEvent(
+        flow="f@a", stage="modular_backend", cache_hit=True, wall_time_s=0.25,
+        fingerprint="deadbeef" * 8, metrics={"n": 1},
+    )
+    assert row.to_dict()["status"] == "hit"
+    # Non-stage rows keep their span name and default to an uncached miss.
+    sweep = make_span(name="sweep:job_finished", fingerprint="")
+    del sweep.attributes["cache_hit"]
+    row = FlowEvent.from_span(sweep)
+    assert (row.stage, row.cache_hit, row.fingerprint) == ("sweep:job_finished", False, "")
 
 
-def test_jsonl_appends_across_observers(tmp_path):
-    target = tmp_path / "events.jsonl"
-    with JsonLinesObserver(target) as observer:
-        observer.on_event(make_event(stage="a"))
-    with JsonLinesObserver(target) as observer:
-        observer.on_event(make_event(stage="b"))
-    assert len(target.read_text().splitlines()) == 2
-
-
-def test_jsonl_close_is_idempotent(tmp_path):
-    observer = JsonLinesObserver(tmp_path / "e.jsonl")
-    observer.close()
-    observer.close()
-
-
-def test_jsonl_stream_target_not_closed():
-    import io
-
-    stream = io.StringIO()
-    with JsonLinesObserver(stream) as observer:
-        observer.on_event(make_event())
-    assert not stream.closed
-    assert json.loads(stream.getvalue())["flow"] == "f@a"
-
-
-# -- CompositeObserver fault isolation ---------------------------------------
-
-
-class _Broken:
-    def __init__(self):
-        self.calls = 0
-
-    def on_event(self, event):
-        self.calls += 1
-        raise RuntimeError("sink down")
-
-
-def test_composite_isolates_raising_observer(caplog):
-    broken, recorder = _Broken(), RecordingObserver()
-    composite = CompositeObserver(broken, recorder)
-    with caplog.at_level(logging.ERROR, logger="repro.flows"):
-        composite.on_event(make_event(stage="a"))
-        composite.on_event(make_event(stage="b"))
-    # The run survived and the healthy sink saw every event.
-    assert [e.stage for e in recorder.events] == ["a", "b"]
-    # The broken sink kept being offered events but was logged only once.
-    assert broken.calls == 2
-    failures = [r for r in caplog.records if "raised on" in r.message]
-    assert len(failures) == 1
-    assert "_Broken" in failures[0].getMessage()
-
-
-def test_composite_logs_each_distinct_failing_observer(caplog):
-    first, second = _Broken(), _Broken()
-    composite = CompositeObserver(first, second)
-    with caplog.at_level(logging.ERROR, logger="repro.flows"):
-        composite.on_event(make_event())
-        composite.on_event(make_event())
-    assert len([r for r in caplog.records if "raised on" in r.message]) == 2
+def test_only_spans_with_a_flow_attribute_are_rows():
+    plain = Span(name="flow:f@a", context=SpanContext("t", "root"), start_ns=0,
+                 duration_ns=10, attributes={"jobs": 2})
+    rows = flow_rows([plain, make_span(stage="a"), make_span(stage="b")])
+    assert [r.stage for r in rows] == ["a", "b"]
 
 
 # -- render_profile -----------------------------------------------------------
 
 
-def _sweep_events():
+def _sweep_spans():
     return [
-        make_event(stage="adequation", cache_hit=False, wall=0.004),
-        make_event(stage="adequation", cache_hit=True, wall=0.001),
-        make_event(stage="modular_backend", cache_hit=False, wall=0.010),
-        make_event(stage="adequation", cache_hit=True, wall=0.001),
+        make_span(stage="adequation", cache_hit=False, wall=0.004, start=0.000),
+        make_span(stage="adequation", cache_hit=True, wall=0.001, start=0.004),
+        make_span(stage="modular_backend", cache_hit=False, wall=0.010, start=0.005),
+        make_span(stage="adequation", cache_hit=True, wall=0.001, start=0.015),
     ]
 
 
 def test_render_profile_default_is_per_event():
-    text = render_profile(_sweep_events())
+    text = render_profile(_sweep_spans())
     assert len([line for line in text.splitlines() if "adequation" in line]) == 3
+    total = text.splitlines()[-1].split()
+    assert total[:3] == ["total", "2/4", "hit"]
+    assert pytest.approx(float(total[3]), abs=0.01) == 16.0  # disjoint rows: the sum
 
 
 def test_render_profile_aggregate_groups_by_stage():
-    text = render_profile(_sweep_events(), aggregate=True)
+    text = render_profile(_sweep_spans(), aggregate=True)
     lines = text.splitlines()
     assert lines[0].split() == ["stage", "count", "hits", "rate", "total", "mean"]
     # Busiest stage first.
@@ -133,28 +85,26 @@ def test_render_profile_aggregate_groups_by_stage():
     assert total[0] == "total" and total[1] == "4" and total[2] == "2"
 
 
+def test_profile_total_counts_nested_time_once_and_only_stage_lookups():
+    """A summary row covering its children adds no time, and rows without a
+    fingerprint (sweep steps, link batches) are not cache lookups."""
+    spans = [
+        make_span(stage="adequation", cache_hit=True, wall=0.002, start=0.001),
+        make_span(stage="executive", wall=0.003, start=0.004),
+        make_span(name="sweep:job_finished", fingerprint="", wall=0.006, start=0.001),
+        make_span(name="sweep:sweep_completed", fingerprint="", wall=0.010, start=0.000),
+    ]
+    total = render_profile(spans).splitlines()[-1].split()
+    assert total[:3] == ["total", "1/2", "hit"]
+    assert pytest.approx(float(total[3]), abs=0.01) == 10.0
+    total = render_profile(spans, aggregate=True).splitlines()[-1].split()
+    assert total[:4] == ["total", "2", "1", "50%"]
+    assert pytest.approx(float(total[4]), abs=0.01) == 10.0
+    gap = make_span(name="link:batch", fingerprint="", wall=0.001, start=0.020)
+    total = render_profile([*spans, gap]).splitlines()[-1].split()
+    assert pytest.approx(float(total[3]), abs=0.01) == 11.0  # disjoint intervals add
+
+
 def test_render_profile_empty():
     assert "no stage events" in render_profile([])
     assert "no stage events" in render_profile([], aggregate=True)
-
-
-def test_jsonl_closed_handle_degrades_to_one_warning(tmp_path, caplog):
-    """A handle closed under the observer must not crash the run.
-
-    Interpreter shutdown (or an aggressive caller) can close the stream
-    while late stage events are still in flight; the sink logs one warning,
-    marks itself dead and swallows everything after that.
-    """
-    target = tmp_path / "events.jsonl"
-    observer = JsonLinesObserver(target)
-    observer.on_event(make_event(stage="a"))
-    observer._stream.close()  # torn down underneath the observer
-    with caplog.at_level(logging.WARNING, logger="repro.flows"):
-        observer.on_event(make_event(stage="b"))  # must not raise
-        observer.on_event(make_event(stage="c"))
-    warnings = [r for r in caplog.records if "dropping further events" in r.message]
-    assert len(warnings) == 1
-    assert observer._dead
-    observer.close()  # idempotent even with the stream already closed
-    rows = [json.loads(line) for line in target.read_text().splitlines()]
-    assert [r["stage"] for r in rows] == ["a"]  # only the pre-close event

@@ -3,14 +3,15 @@
 Covers the content-addressed :class:`ArtifactCache` (LRU + disk tier),
 fingerprint stability across processes, key invalidation when any flow
 input changes, warm-run cache hits for the full case study, the shared
-cache of :func:`explore_design_space`, and the no-stdout guarantee of
-library code.
+cache of :func:`explore_design_space`, the stage rows a traced flow
+records, and the no-stdout guarantee of library code.
 """
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -21,11 +22,11 @@ from repro.flows import (
     STAGE_NAMES,
     ArtifactCache,
     DesignFlow,
-    JsonLinesObserver,
-    RecordingObserver,
     explore_design_space,
+    flow_rows,
     parse_constraints,
 )
+from repro.obs import Tracer, use_tracer
 from repro.aaa.scheduler import SynDExScheduler
 from repro.arch.boards import sundance_board
 from repro.mccdma.casestudy import build_mccdma_design, build_mccdma_graph
@@ -209,45 +210,40 @@ def test_device_change_keeps_upstream_keys():
 
 def test_warm_rerun_hits_every_stage():
     cache = ArtifactCache()
-    recorder = RecordingObserver()
-    case_study_flow(cache=cache, observer=recorder).run()
-    assert recorder.executions() == len(STAGE_NAMES)
-    assert recorder.hits() == 0
+    cold = case_study_flow(cache=cache).run()
+    assert [e.stage for e in cold.events] == list(STAGE_NAMES)
+    assert not any(e.cache_hit for e in cold.events)
 
-    recorder.clear()
-    result = case_study_flow(cache=cache, observer=recorder).run()
-    assert [e.stage for e in recorder.events] == list(STAGE_NAMES)
-    assert recorder.hits() == len(STAGE_NAMES)
-    assert recorder.executions() == 0
-    assert result.makespan_ns > 0
-    # The FlowResult carries its own events for profiling.
+    result = case_study_flow(cache=cache).run()
+    assert [e.stage for e in result.events] == list(STAGE_NAMES)
     assert all(e.cache_hit for e in result.events)
+    assert result.makespan_ns > 0
 
 
 def test_input_change_invalidates_warm_cache_at_runtime():
     cache = ArtifactCache()
     case_study_flow(cache=cache).run()
-    recorder = RecordingObserver()
-    case_study_flow(cache=cache, prefetch=False, observer=recorder).run()
-    assert recorder.hits("modelisation") == 1
-    assert recorder.executions("adequation") == 1
-    assert recorder.executions("adequation_refine") == 1
+    result = case_study_flow(cache=cache, prefetch=False).run()
+    hit = {e.stage: e.cache_hit for e in result.events}
+    assert hit["modelisation"]
+    assert not hit["adequation"]
+    assert not hit["adequation_refine"]
 
 
 # -- shared cache across the design space ------------------------------------------
 
 
 def sweep(share_cache):
-    recorder = RecordingObserver()
-    points = explore_design_space(
-        build_mccdma_graph(),
-        default_library(),
-        dynamic_constraints=parse_constraints(CONSTRAINTS),
-        configure_flow=lambda flow: flow.mapping.pin("bit_src", "DSP").pin("select", "DSP"),
-        share_cache=share_cache,
-        observer=recorder,
-    )
-    return points, recorder
+    """The sweep's points and its stage executions (cache misses) per stage."""
+    with use_tracer(Tracer()) as tracer:
+        points = explore_design_space(
+            build_mccdma_graph(),
+            default_library(),
+            dynamic_constraints=parse_constraints(CONSTRAINTS),
+            configure_flow=lambda flow: flow.mapping.pin("bit_src", "DSP").pin("select", "DSP"),
+            share_cache=share_cache,
+        )
+    return points, Counter(e.stage for e in flow_rows(tracer.spans) if not e.cache_hit)
 
 
 def test_designspace_shared_cache_halves_adequation_executions():
@@ -255,10 +251,10 @@ def test_designspace_shared_cache_halves_adequation_executions():
     cold_points, cold = sweep(share_cache=False)
     warm_points, warm = sweep(share_cache=True)
     assert len(cold_points) == len(warm_points) == 6  # stock 3-device x 2-arch grid
-    assert cold.executions("adequation") >= 2 * warm.executions("adequation")
-    assert warm.executions("adequation") == 1  # one first-pass adequation for the sweep
-    assert warm.executions("vhdl_generation") == 1
-    assert warm.executions("modelisation") == 1
+    assert cold["adequation"] >= 2 * warm["adequation"]
+    assert warm["adequation"] == 1  # one first-pass adequation for the sweep
+    assert warm["vhdl_generation"] == 1
+    assert warm["modelisation"] == 1
     # Identical results either way.
     for a, b in zip(cold_points, warm_points):
         assert (a.device, a.architecture, a.makespan_ns) == (b.device, b.architecture, b.makespan_ns)
@@ -269,7 +265,7 @@ def test_designspace_shared_cache_halves_adequation_executions():
 
 
 def test_library_code_writes_nothing_to_stdout(capsys):
-    """The observer/logging channel replaces bare prints: a full flow run
+    """Runs narrate themselves as spans, never as prints: a full flow run
     must leave stdout and stderr untouched."""
     case_study_flow().run()
     captured = capsys.readouterr()
@@ -277,16 +273,26 @@ def test_library_code_writes_nothing_to_stdout(capsys):
     assert captured.err == ""
 
 
-def test_jsonl_observer_writes_one_event_per_stage(tmp_path):
-    target = tmp_path / "events.jsonl"
-    case_study_flow(observer=JsonLinesObserver(target)).run()
-    lines = target.read_text().splitlines()
-    assert len(lines) == len(STAGE_NAMES)
-    events = [json.loads(line) for line in lines]
-    assert [e["stage"] for e in events] == list(STAGE_NAMES)
-    for event in events:
-        assert event["status"] in ("hit", "miss")
-        assert len(event["fingerprint"]) == 64
+def test_from_span_rebuilds_every_stage_row_of_a_traced_flow():
+    """Each ``stage:`` span carries its row: rebuilt with FlowEvent.from_span
+    it equals the pipeline's own row, wall time aside."""
+
+    def without_wall_time(event):
+        row = event.to_dict()
+        del row["wall_time_s"]
+        return row
+
+    cache = ArtifactCache()
+    for _ in range(2):  # cold, then warm: misses and hits
+        with use_tracer(Tracer()) as tracer:
+            result = case_study_flow(cache=cache).run()
+        rows = flow_rows(tracer.spans)
+        assert [without_wall_time(e) for e in rows] == [
+            without_wall_time(e) for e in result.events
+        ]
+        assert [e.stage for e in rows] == list(STAGE_NAMES)
+        assert all(len(e.fingerprint) == 64 for e in rows)
+    assert all(e.cache_hit for e in rows)
 
 
 def test_stage_metrics_record_numeric_values_as_sketches():
@@ -300,7 +306,7 @@ def test_stage_metrics_record_numeric_values_as_sketches():
     stage = Stage("s", lambda _: "key", lambda _: "artefact", lambda _: metrics)
     with use_telemetry() as hub:
         for _ in range(2):
-            FlowPipeline([stage], observer=RecordingObserver()).run()
+            FlowPipeline([stage]).run()
     snapshot = hub.store("run").snapshot()
     assert sorted(k for k in snapshot if k.startswith("stage.")) == [
         "stage.s.clock_mhz", "stage.s.loads",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.flows.observe import RecordingObserver
+from repro.flows.observe import flow_rows
 from repro.mccdma.engine import (
     LinkEngineConfig,
     LinkPointJob,
@@ -15,6 +15,7 @@ from repro.mccdma.interleaving import BlockInterleaver
 from repro.mccdma.linklevel import adaptive_vs_fixed, simulate_link
 from repro.mccdma.spreading import walsh_matrix
 from repro.mccdma.transmitter import MCCDMAConfig
+from repro.obs import Tracer, use_tracer
 
 
 def _pair(config, batch_frames=4, **kwargs):
@@ -140,17 +141,22 @@ def test_engine_config_validation():
 # -- observability --------------------------------------------------------------
 
 def test_engine_emits_batch_and_run_events():
-    recorder = RecordingObserver()
-    engine = LinkSimulationEngine(
-        engine=LinkEngineConfig(batch_frames=2), observer=recorder
-    )
-    engine.simulate("qpsk", [1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
-    stages = [e.stage for e in recorder.events]
-    assert stages.count("link:batch") == 3  # ceil(5 / 2)
-    assert stages.count("link:run") == 1
-    run = next(e for e in recorder.events if e.stage == "link:run")
+    engine = LinkSimulationEngine(engine=LinkEngineConfig(batch_frames=2))
+    with use_tracer(Tracer()) as tracer:
+        engine.simulate("qpsk", [1.0, 2.0, 3.0, 4.0, 5.0], seed=0)
+    rows = flow_rows(tracer.spans)
+    assert [e.stage for e in rows] == ["link:batch"] * 3 + ["link:run"]  # ceil(5 / 2)
+    batch = rows[-2]
+    assert batch.metrics["frames"] == 1 and batch.metrics["frames_done"] == 5
+    assert set(batch.metrics) == {
+        "frames", "frames_done", "error_bits", "ber", "ci_halfwidth", "batched",
+    }
+    run = rows[-1]
     assert run.flow == "link:qpsk"
     assert run.metrics["frames"] == 5 and run.metrics["early_stopped"] is False
+    assert set(run.metrics) == {
+        "frames", "frames_requested", "ber", "switches", "early_stopped", "batched",
+    }
 
 
 # -- SNR sweeps through the exec machinery --------------------------------------

@@ -167,9 +167,9 @@ def test_counter_events_from_store_unrolls_windows_and_quantiles():
     from repro.obs import TimeSeriesStore, counter_events_from_store
 
     store = TimeSeriesStore(window=1_000)
-    store.counter_add_array("hits", np.asarray([100, 1_500]), policy="lru")
-    store.observe_array(
-        "lat", np.full(100, 100), np.asarray([10.0] * 98 + [90.0] * 2)
+    store.defer_array("hits", "counter", lambda: (np.asarray([100, 1_500]), None), policy="lru")
+    store.defer_array(
+        "lat", "quantile", lambda: (np.full(100, 100), np.asarray([10.0] * 98 + [90.0] * 2))
     )
     events = counter_events_from_store(store, pid=3, quantiles=(0.99,))
     by_name = {}
@@ -194,7 +194,9 @@ def test_chrome_trace_carries_counter_lanes_and_validates(tmp_path):
     hub = Telemetry()
     hub.store("run").counter_add("jobs", 0, 1)
     store = hub.store("sim", window=1_000)
-    store.counter_add_array("fleet.demands", np.asarray([10, 2_000]), policy="lru")
+    store.defer_array(
+        "fleet.demands", "counter", lambda: (np.asarray([10, 2_000]), None), policy="lru"
+    )
     hub.store("search")  # an empty store gets no lane
     payload = chrome_trace(_sample_spans(), telemetry=hub)
     counters = [e for e in payload["traceEvents"] if e["ph"] == "C"]

@@ -1,10 +1,11 @@
 """Windowed time-series store, write-behind array path, SLOs, the hub.
 
 The store's contract has two halves this file pins down separately: the
-*scalar* recording path aggregates eagerly, and the *array* path is a
-write-behind buffer — references (or zero-argument batch closures) are
-captured at record time and the windowed aggregation runs at first read.
-Both must produce identical windows.
+*scalar* recording path aggregates eagerly, and the *array* path
+(:meth:`~repro.obs.TimeSeriesStore.defer_array`) is a write-behind buffer —
+zero-argument batch producers are captured at record time, and they run,
+are validated and are aggregated into windows at first read.  Both must
+produce identical windows.
 """
 
 import io
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.obs import (
-    QuantileSketch,
     SloMonitor,
     SloRule,
     Telemetry,
@@ -43,9 +43,9 @@ def test_array_paths_match_scalar_paths_exactly():
         scalar.observe("lat", ti, li)
 
     vector = _mixed_store()
-    vector.counter_add_array("hits", t)
-    vector.counter_add_array("bytes", t, weights)
-    vector.observe_array("lat", t, latencies)
+    vector.defer_array("hits", "counter", lambda: (t, None))
+    vector.defer_array("bytes", "counter", lambda: (t, weights))
+    vector.defer_array("lat", "quantile", lambda: (t, latencies))
 
     assert vector.series("hits") == scalar.series("hits")
     assert vector.series("bytes") == scalar.series("bytes")
@@ -57,7 +57,7 @@ def test_array_paths_match_scalar_paths_exactly():
 def test_interleaved_scalar_and_array_counter_updates_accumulate():
     store = _mixed_store()
     store.counter_add("n", 5)
-    store.counter_add_array("n", np.asarray([10, 110, 110]))
+    store.defer_array("n", "counter", lambda: (np.asarray([10, 110, 110]), None))
     store.counter_add("n", 120)
     assert store.series("n") == [(0, 2), (1, 3)]
     assert store.total("n") == 5
@@ -65,7 +65,9 @@ def test_interleaved_scalar_and_array_counter_updates_accumulate():
 
 def test_gauge_add_array_sums_contributions_per_window():
     store = _mixed_store()
-    store.gauge_add_array("util", np.asarray([10, 20, 150]), np.asarray([0.25, 0.25, 1.0]))
+    store.defer_array(
+        "util", "gauge", lambda: (np.asarray([10, 20, 150]), np.asarray([0.25, 0.25, 1.0]))
+    )
     assert dict(store.series("util")) == pytest.approx({0: 0.5, 1: 1.0})
 
 
@@ -74,7 +76,7 @@ def test_gauge_add_array_sums_contributions_per_window():
 
 def test_array_recording_is_deferred_until_first_read():
     store = _mixed_store()
-    store.counter_add_array("n", np.asarray([1, 2, 3]))
+    store.defer_array("n", "counter", lambda: (np.asarray([1, 2, 3]), None))
     series = next(iter(store._series.values()))
     assert series.pending and not series.windows  # buffered, not aggregated
     assert store.total("n") == 3
@@ -103,20 +105,20 @@ def test_defer_array_rejects_unknown_kind_eagerly():
 
 
 def test_deferred_batch_validation_happens_at_materialization():
-    store = _mixed_store()
-    store.defer_array("n", "counter", lambda: (np.asarray([1]), np.asarray([-2])))
-    with pytest.raises(ValueError):
-        store.total("n")
-
-
-def test_array_validation_is_eager_for_direct_arrays():
-    store = _mixed_store()
-    with pytest.raises(ValueError):
-        store.counter_add_array("n", np.asarray([1]), np.asarray([-1]))
-    with pytest.raises(ValueError):
-        store.observe_array("lat", np.asarray([1.0]), np.asarray([np.nan]))
-    with pytest.raises(ValueError):
-        store.counter_add_array("n", np.asarray([1, 2]), np.asarray([1]))
+    bad_batches = [
+        ("counter", np.asarray([1]), np.asarray([-2])),  # negative increment
+        ("counter", np.asarray([1, 2]), np.asarray([1])),  # t/values mismatch
+        ("gauge", np.asarray([1]), np.asarray([np.inf])),  # non-finite value
+        ("gauge", np.asarray([1]), None),  # only counters may omit values
+        ("quantile", np.asarray([1.0]), np.asarray([np.nan])),  # non-finite sample
+        ("quantile", np.asarray([1]), np.asarray([-1.0])),  # negative sample
+        ("quantile", np.asarray([1, 2]), np.asarray([3.0])),  # t/values mismatch
+    ]
+    for kind, t, values in bad_batches:
+        store = _mixed_store()
+        store.defer_array("n", kind, lambda t=t, values=values: (t, values))
+        with pytest.raises(ValueError):
+            store.series("n")
 
 
 # -- store basics -----------------------------------------------------------
@@ -159,9 +161,10 @@ def test_ring_retention_drops_oldest_windows_and_counts_them():
 
 def test_merge_is_commutative_for_counters_and_sketches():
     def fill(store, offset):
-        store.counter_add_array("n", np.asarray([5, 15, 25]) + offset)
-        store.observe_array(
-            "lat", np.asarray([5, 15]) + offset, np.asarray([10.0, 20.0]) + offset
+        store.defer_array("n", "counter", lambda: (np.asarray([5, 15, 25]) + offset, None))
+        store.defer_array(
+            "lat", "quantile",
+            lambda: (np.asarray([5, 15]) + offset, np.asarray([10.0, 20.0]) + offset),
         )
 
     a1, b1 = _mixed_store(), _mixed_store()
@@ -182,9 +185,11 @@ def test_merge_rejects_mixed_window_widths():
 
 def test_jsonl_roundtrip_rebuilds_equivalent_store():
     store = _mixed_store()
-    store.counter_add_array("n", np.asarray([1, 150]), policy="lru")
+    store.defer_array("n", "counter", lambda: (np.asarray([1, 150]), None), policy="lru")
     store.gauge_set("depth", 120, 4, pool="workers")
-    store.observe_array("lat", np.asarray([10, 10, 210]), np.asarray([5.0, 7.0, 900.0]))
+    store.defer_array(
+        "lat", "quantile", lambda: (np.asarray([10, 10, 210]), np.asarray([5.0, 7.0, 900.0]))
+    )
     buffer = io.StringIO()
     count = store.write_jsonl(buffer)
     assert count == len(store.to_rows())
@@ -258,8 +263,10 @@ def test_monitor_reports_each_window_once_across_evaluations():
 
 def test_quantile_ceiling_rule_and_up_to_exclusion():
     store = _mixed_store()
-    store.observe_array("lat", np.asarray([10] * 100), np.full(100, 50.0))
-    store.observe_array("lat", np.asarray([110] * 100), np.full(100, 9_000.0))
+    store.defer_array("lat", "quantile", lambda: (np.asarray([10] * 100), np.full(100, 50.0)))
+    store.defer_array(
+        "lat", "quantile", lambda: (np.asarray([110] * 100), np.full(100, 9_000.0))
+    )
     monitor = SloMonitor(
         store,
         [SloRule(name="p99", series="lat", kind="ceiling", threshold=1_000.0,

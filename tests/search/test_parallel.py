@@ -144,7 +144,7 @@ def test_failed_shard_raises_instead_of_silently_dropping(monkeypatch):
     graph, library = small_problem()
     config = SearchConfig(budget=8, seed=0, restarts=2)
 
-    def boom(self, attempt=1, cache=None, observer=None):
+    def boom(self, attempt=1, cache=None):
         raise RuntimeError("injected shard failure")
 
     monkeypatch.setattr(SearchRestartJob, "execute", boom)

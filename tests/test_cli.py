@@ -1,16 +1,25 @@
 """Tests for the command-line interface."""
 
 import io
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.flows import STAGE_NAMES
+
+ROW_KEYS = {"flow", "stage", "status", "cache_hit", "wall_time_s", "fingerprint", "metrics"}
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def profile_line(text, stage):
+    """The fields of the first ``--profile`` table line for ``stage``."""
+    return next(line for line in text.splitlines() if line.startswith(stage + " ")).split()
 
 
 def test_parser_requires_command():
@@ -63,6 +72,20 @@ def test_log_json_flag(tmp_path):
     lines = target.read_text().splitlines()
     assert len(lines) == 6
     assert {json.loads(line)["stage"] for line in lines} >= {"modelisation", "executive"}
+
+
+def test_log_json_rows_match_flow_json_stages(tmp_path):
+    import json
+
+    target = tmp_path / "rows.jsonl"
+    code, text = run_cli("--log-json", str(target), "flow", "--json")
+    assert code == 0
+    stages = json.loads(text)["stages"]
+    rows = [json.loads(line) for line in target.read_text().splitlines()]
+    assert all(set(row) == ROW_KEYS for row in rows)
+    for row in (*stages, *rows):
+        del row["wall_time_s"]
+    assert rows == stages
 
 
 def test_table1_command():
@@ -177,16 +200,55 @@ def test_sweep_json_report(tmp_path):
 
 
 def test_sweep_profile_covers_parallel_run(tmp_path):
+    import json
+
     code, text = run_cli(
         "--profile", "--log-json", str(tmp_path / "events.jsonl"),
         "sweep", "--jobs", "2", "--timeout", "300",
         "--devices", "xc2v1000", "--architectures", "case_a,case_b",
     )
     assert code == 0
-    assert "adequation" in text  # worker stage events reached the profile
-    assert "sweep:job_finished" in text or "sweep:sweep_completed" in text
-    lines = (tmp_path / "events.jsonl").read_text().splitlines()
-    assert any('"sweep:sweep_completed"' in line for line in lines)
+    # Every stage of both workers' flows came back with their spans ...
+    for stage in STAGE_NAMES:
+        assert profile_line(text, stage)[1] == "2"
+    # ... next to every step of the engine's own narration.
+    for step, count in (
+        ("sweep:worker_spawned", "2"),
+        ("sweep:job_dispatched", "2"),
+        ("sweep:job_started", "2"),
+        ("sweep:job_finished", "2"),
+        ("sweep:sweep_completed", "1"),
+    ):
+        assert profile_line(text, step)[1] == count
+    rows = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+    assert all(set(row) == ROW_KEYS for row in rows)
+    assert sum(1 for row in rows if row["fingerprint"]) == 12
+    assert [row["stage"] for row in rows].count("sweep:sweep_completed") == 1
+
+
+def test_profile_total_is_covered_wall_time_over_stage_lookups():
+    """The total line counts nested time once and only stage rows as lookups."""
+    code, text = run_cli(
+        "--profile", "sweep", "--jobs", "0",
+        "--devices", "xc2v1000,xc2v2000", "--architectures", "case_a,case_b",
+    )
+    assert code == 0
+    # The completed step lasts the whole sweep: every other row nests in it.
+    completed_ms = float(profile_line(text, "sweep:sweep_completed")[4])
+    total = profile_line(text, "total")
+    assert completed_ms <= float(total[4]) <= completed_ms + 0.5
+    hits, lookups, rate = re.search(r"stage cache (\d+)/(\d+) hit \((\d+)%\)", text).groups()
+    assert total[1:4] == [lookups, hits, f"{rate}%"] and lookups == "24"
+
+    code, text = run_cli(
+        "--profile", "linklevel", "--snr", "4", "--frames", "8", "--batch", "4",
+        "--strategies", "qpsk",
+    )
+    assert code == 0
+    completed_ms = float(profile_line(text, "sweep:sweep_completed")[2])
+    total = profile_line(text, "total")
+    assert total[1:3] == ["0/0", "hit"]  # a link sweep never touches the cache
+    assert completed_ms <= float(total[3]) <= completed_ms + 0.5
 
 
 def test_sweep_unknown_device_is_a_clean_error():
@@ -243,6 +305,33 @@ def test_linklevel_profile_shows_engine_events(tmp_path):
     assert "link:batch" in text and "link:point" in text
     lines = (tmp_path / "events.jsonl").read_text().splitlines()
     assert any('"link:point"' in line for line in lines)
+
+
+def test_closed_stdout_exits_quietly():
+    """``repro macrocode | head -1``: a reader that goes away early must not
+    leave a traceback behind."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "macrocode"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_linklevel_bad_grid_and_strategy_are_clean_errors():
@@ -418,6 +507,25 @@ def test_fleet_trace_bridges_per_board_lanes(tmp_path):
     }
     # Each traced board gets its own Perfetto lane, named by board id.
     assert {"b0000 [sim time]", "b0001 [sim time]"} <= lanes
+
+
+def test_only_trace_records_fleet_board_traces(tmp_path, monkeypatch):
+    """Board traces feed the trace file alone: ``--profile`` and
+    ``--log-json`` record a run without paying for them."""
+    import repro.runtime
+
+    seen = []
+    run_fleet = repro.runtime.run_fleet
+
+    def spy(config, **kwargs):
+        seen.append(config.trace_boards)
+        return run_fleet(config, **kwargs)
+
+    monkeypatch.setattr(repro.runtime, "run_fleet", spy)
+    argv = ("fleet", "--boards", "3", "--requests", "10", "--policy", "none")
+    assert run_cli("--profile", "--log-json", str(tmp_path / "rows.jsonl"), *argv)[0] == 0
+    assert run_cli("--trace", str(tmp_path / "fleet.json"), *argv)[0] == 0
+    assert seen == [0, 3]
 
 
 def test_tracing_never_changes_fleet_telemetry(tmp_path):

@@ -102,6 +102,26 @@ def test_tutorial_deadline_violation_raises():
         flow.run()
 
 
+def test_tutorial_profile_from_the_recording():
+    """Section 6: profile a flow from the tracer's recording."""
+    from repro.flows import ArtifactCache, render_profile
+    from repro.obs import Tracer, use_tracer
+
+    g, lib, constraints = build_video_design()
+    board = sundance_board()
+
+    cache = ArtifactCache()
+    flow = DesignFlow(graph=g, board=board, library=lib,
+                      dynamic_constraints=constraints, cache=cache)
+    with use_tracer(Tracer()) as tracer:
+        result = flow.run()
+    text = render_profile(tracer.spans)
+    lines = text.splitlines()
+    assert lines[0].split() == ["stage", "cache", "time", "fingerprint", "metrics"]
+    assert [line.split()[0] for line in lines[1:-1]] == [e.stage for e in result.events]
+    assert lines[-1].split()[:3] == ["total", "0/6", "hit"]
+
+
 def test_tutorial_telemetry_slos_and_bench_gate(tmp_path):
     """Section 11: telemetry windows, SLO breaches, the history gate."""
     from repro.obs import SloMonitor, SloRule, TimeSeriesStore, bench_check
