@@ -4,9 +4,15 @@ The fleet multiplexer now ships two engines over identical semantics:
 
 - ``kernel`` — every board live on the shared discrete-event calendar
   (the reference path; traces, cross-board coupling),
-- ``fast`` — schedules pre-packed into structure-of-arrays form and the
-  manager state advanced with vectorized per-step updates (scalar
-  micro-sim fallback for policies that resist vectorization).
+- ``fast`` — the manager state advanced with vectorized per-step updates
+  over the schedule set's ``(boards, requests)`` arrays, which are born in
+  that form (scalar micro-sim fallback for policies that resist
+  vectorization).
+
+Both engines replay one schedule set generated before the timed runs, and
+the fast engine reads its arrays without repacking them, so
+``fast.requests_per_sec`` times the vector cores alone; the kernel's wall
+includes decoding each board's tuple view.
 
 The benchmark runs the 1,000-board x 1,000-request headline through BOTH
 engines with matched warm-up, best-of-3 walls, and asserts

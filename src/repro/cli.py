@@ -518,19 +518,23 @@ def _cmd_fleet(args, out) -> int:
     trace_boards = args.trace_boards
     if trace_boards is None:
         trace_boards = 3 if args.trace else 0
-    base = FleetConfig(
-        n_boards=args.boards,
-        requests_per_board=args.requests,
-        traffic=args.traffic,
-        seed=args.seed,
-        regions=args.regions,
-        modules_per_region=args.modules,
-        region_slots=args.slots,
-        architecture=_ARCHITECTURES[args.architecture]().name,
-        mean_gap_ns=args.mean_gap,
-        trace_boards=trace_boards,
-        engine=args.engine,
-    )
+    try:
+        base = FleetConfig(
+            n_boards=args.boards,
+            requests_per_board=args.requests,
+            traffic=args.traffic,
+            seed=args.seed,
+            regions=args.regions,
+            modules_per_region=args.modules,
+            region_slots=args.slots,
+            architecture=_ARCHITECTURES[args.architecture]().name,
+            mean_gap_ns=args.mean_gap,
+            trace_boards=trace_boards,
+            engine=args.engine,
+        )
+    except ValueError as err:
+        print(f"error: {err}", file=out)
+        return 2
     # One traffic-generation pass serves every policy: schedules depend
     # only on (seed, board_id, traffic).
     schedules = generate_fleet_schedules(base)

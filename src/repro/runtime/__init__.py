@@ -8,7 +8,8 @@ boards onto one deterministic event kernel:
   protocol builder + configuration manager + optional executive) taking the
   simulator as a shared handle,
 - :mod:`repro.runtime.traffic` — seeded request-stream generators (Poisson
-  bursts, diurnal swings, adversarial thrash),
+  bursts, diurnal swings, adversarial thrash), run for a whole fleet in
+  lockstep into one array :class:`ScheduleSet`,
 - :mod:`repro.runtime.policies` — the named policy registry unifying
   prefetch strategies and multi-slot eviction bundles,
 - :mod:`repro.runtime.fleet` — the fleet driver and the per-policy
@@ -38,9 +39,11 @@ from repro.runtime.policies import (
 )
 from repro.runtime.traffic import (
     TRAFFIC_PATTERNS,
+    ScheduleSet,
     board_rng,
     future_from_schedule,
     generate_schedule,
+    generate_schedules,
 )
 
 __all__ = [
@@ -62,7 +65,9 @@ __all__ = [
     "get_bundle",
     "policy_names",
     "TRAFFIC_PATTERNS",
+    "ScheduleSet",
     "board_rng",
     "future_from_schedule",
     "generate_schedule",
+    "generate_schedules",
 ]

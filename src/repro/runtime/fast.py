@@ -7,6 +7,12 @@ means fleet results need no global event heap at all: this module replays
 the same request schedules against the same management semantics as the
 kernel path, but advances state per *request step* instead of per *event*.
 
+Schedules arrive as a :class:`~repro.runtime.traffic.ScheduleSet`, which
+is born as ``(boards, requests)`` int arrays.  The vector cores read those
+arrays as they are — no packing step — so a timed run on a pre-generated
+set (the fleet benchmark's ``fast.requests_per_sec``) times the cores
+alone; the scalar fallback decodes one board's tuple list at a time.
+
 Two execution strategies, picked per policy bundle by :func:`vector_mode`:
 
 - **Vectorized cores** hold the whole fleet's manager state as numpy arrays
@@ -71,7 +77,7 @@ from repro.reconfig.architectures import ReconfigArchitecture
 from repro.reconfig.manager import COUNTER_FIELDS, ManagerStats
 from repro.reconfig.prefetch import NoPrefetchPolicy, OnSelectPrefetchPolicy
 from repro.runtime.policies import RuntimePolicy, create_policy, get_bundle
-from repro.runtime.traffic import future_from_schedule
+from repro.runtime.traffic import ScheduleSet, future_from_schedule
 from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet imports fast)
@@ -159,30 +165,6 @@ def _load_table(
         for region, modules in region_map.items()
         for module in modules
     }
-
-
-def _pack_schedules(
-    schedules: Sequence[Sequence[tuple[int, str, str]]],
-    ridx: dict[str, int],
-    midx: dict[str, dict[str, int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Structure-of-arrays form: (gaps, region idx, module idx), each (B, S)."""
-    n_boards = len(schedules)
-    steps = len(schedules[0]) if n_boards else 0
-    count = n_boards * steps
-    gaps = np.fromiter(
-        (gap for schedule in schedules for gap, _, _ in schedule),
-        dtype=np.int64, count=count,
-    ).reshape(n_boards, steps)
-    regs = np.fromiter(
-        (ridx[region] for schedule in schedules for _, region, _ in schedule),
-        dtype=np.int64, count=count,
-    ).reshape(n_boards, steps)
-    mods = np.fromiter(
-        (midx[region][module] for schedule in schedules for _, region, module in schedule),
-        dtype=np.int64, count=count,
-    ).reshape(n_boards, steps)
-    return gaps, regs, mods
 
 
 # ---------------------------------------------------------------------------
@@ -712,11 +694,15 @@ class _BoardSim:
 
 def simulate_fast_fleet(
     config: "FleetConfig",
-    schedules: Sequence[Sequence[tuple[int, str, str]]],
+    schedules: ScheduleSet,
     arch: ReconfigArchitecture,
     recorder=None,
 ) -> tuple[list[dict], list[int], FastRunStats]:
     """Replay ``schedules`` under ``config``'s policy without the kernel.
+
+    ``schedules`` is the fleet's array set, in ``config.region_map()``
+    order: the vector cores step through its ``(boards, requests)`` arrays
+    as they are, and the scalar fallback decodes one board at a time.
 
     Returns per-board stats dicts (``ManagerStats.to_dict()`` form, in
     schedule order), per-board end times (the last event on each board),
@@ -736,18 +722,14 @@ def simulate_fast_fleet(
     slots = config.region_slots if config.region_slots is not None else bundle.region_slots
     n_boards = len(schedules)
     if mode is not None and n_boards:
-        region_names = list(region_map)
-        ridx = {name: i for i, name in enumerate(region_names)}
-        midx = {name: {m: i for i, m in enumerate(mods)} for name, mods in region_map.items()}
         n_modules = max(len(mods) for mods in region_map.values())
-        load_arr = np.zeros((len(region_names), n_modules), dtype=np.int64)
-        rank_arr = np.zeros((len(region_names), n_modules), dtype=np.int64)
-        for name, modules in region_map.items():
+        load_arr = np.zeros((len(region_map), n_modules), dtype=np.int64)
+        rank_arr = np.zeros((len(region_map), n_modules), dtype=np.int64)
+        for r, (name, modules) in enumerate(region_map.items()):
             for i, module in enumerate(modules):
-                load_arr[ridx[name], i] = load_ns[(name, module)]
-            for rank, module in enumerate(sorted(modules)):
-                rank_arr[ridx[name], midx[name][module]] = rank
-        gaps, regs, mods = _pack_schedules(schedules, ridx, midx)
+                load_arr[r, i] = load_ns[(name, module)]
+                rank_arr[r, i] = sorted(modules).index(module)
+        gaps, regs, mods = schedules.gaps, schedules.regions, schedules.modules
         if mode == "onselect":
             counters, ends = _vector_onselect(
                 gaps, regs, mods, load_arr=load_arr, latency_ns=latency_ns,

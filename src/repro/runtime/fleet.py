@@ -21,6 +21,13 @@ Two engines produce that outcome:
   ``trace_boards > 0`` the first boards additionally replay on a kernel
   subset that only produces their trace lanes.
 
+Schedules are born as a :class:`~repro.runtime.traffic.ScheduleSet` (three
+``(boards, requests)`` int arrays), generated for all boards in lockstep.
+The fast engine's vector cores read those arrays directly; kernel boards and
+the scalar fallback read the decoded per-board tuple view.  A caller's own
+tuple lists are packed into a set once, with validation, at the
+:func:`run_fleet` boundary.
+
 ``run_frontier`` replays the *same* seeded traffic against several policy
 bundles — schedules are generated once and shared across policies, since
 they depend only on ``(seed, board_id, traffic)``.
@@ -40,7 +47,12 @@ from repro.reconfig.architectures import ReconfigArchitecture, all_cases
 from repro.runtime.board import Board
 from repro.runtime.fast import FastRunStats, simulate_fast_fleet
 from repro.runtime.policies import create_policy, get_bundle
-from repro.runtime.traffic import board_rng, future_from_schedule, generate_schedule
+from repro.runtime.traffic import (
+    ScheduleSet,
+    board_rng,
+    future_from_schedule,
+    generate_schedules,
+)
 from repro.sim import Simulator, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, keeps runtime import light
@@ -92,6 +104,16 @@ class FleetConfig:
     trace_boards: int = 0
     #: "fast" (batched array-state engine) or "kernel" (reference event path)
     engine: str = "fast"
+
+    def __post_init__(self):
+        for name in ("n_boards", "requests_per_board", "trace_boards", "mean_gap_ns"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("regions", "modules_per_region"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.region_slots is not None and self.region_slots < 1:
+            raise ValueError(f"region_slots must be None or >= 1, got {self.region_slots}")
 
     def region_map(self) -> dict[str, list[str]]:
         return {
@@ -344,23 +366,38 @@ def _board_id(index: int) -> str:
     return f"b{index:04d}"
 
 
-def generate_fleet_schedules(config: FleetConfig) -> list[list[tuple[int, str, str]]]:
-    """Every board's request schedule, in board-id order.
+def generate_fleet_schedules(config: FleetConfig) -> ScheduleSet:
+    """Every board's request schedule, in board-id order, as one array set.
 
     Schedules depend only on ``(seed, board_id, traffic)`` — never on the
     policy or engine — so one generation pass serves a whole frontier.
     """
-    region_map = config.region_map()
-    return [
-        generate_schedule(
-            config.traffic,
-            board_rng(config.seed, _board_id(i)),
-            region_map,
-            config.requests_per_board,
-            mean_gap_ns=config.mean_gap_ns,
+    return generate_schedules(
+        config.traffic,
+        [board_rng(config.seed, _board_id(i)) for i in range(config.n_boards)],
+        config.region_map(),
+        config.requests_per_board,
+        mean_gap_ns=config.mean_gap_ns,
+    )
+
+
+def _schedule_set(config: FleetConfig, schedules) -> ScheduleSet:
+    """``schedules`` as a set matching ``config``; tuple lists are packed once."""
+    if len(schedules) != config.n_boards:
+        raise ValueError(
+            f"got {len(schedules)} schedules for {config.n_boards} boards"
         )
-        for i in range(config.n_boards)
-    ]
+    region_map = config.region_map()
+    if not isinstance(schedules, ScheduleSet):
+        return ScheduleSet.from_tuples(schedules, region_map, config.requests_per_board)
+    if schedules.n_requests != config.requests_per_board:
+        raise ValueError(
+            f"schedules hold {schedules.n_requests} requests per board, "
+            f"config asks for {config.requests_per_board}"
+        )
+    if list(schedules.region_map.items()) != list(region_map.items()):
+        raise ValueError("schedules were generated for another region map")
+    return schedules
 
 
 def _build_kernel_board(
@@ -369,7 +406,7 @@ def _build_kernel_board(
     arch: ReconfigArchitecture,
     region_map: dict[str, list[str]],
     index: int,
-    schedule: list[tuple[int, str, str]],
+    schedule: Sequence[tuple[int, str, str]],
     traced: bool,
 ) -> Board:
     bundle = get_bundle(config.policy)
@@ -401,7 +438,7 @@ def _build_kernel_board(
 def _run_kernel_boards(
     config: FleetConfig,
     arch: ReconfigArchitecture,
-    schedules: Sequence[list[tuple[int, str, str]]],
+    schedules: ScheduleSet,
     first_index: int = 0,
 ) -> tuple[list[Board], Simulator]:
     """Build and run a (sub)fleet on one shared reference kernel."""
@@ -422,14 +459,18 @@ def _run_kernel_boards(
 def run_fleet(
     config: FleetConfig,
     engine: Optional[str] = None,
-    schedules: Optional[list[list[tuple[int, str, str]]]] = None,
+    schedules: Optional[Sequence[Sequence[tuple[int, str, str]]]] = None,
     telemetry: Optional["TimeSeriesStore"] = None,
 ) -> FleetReport:
     """Run one policy over the whole fleet.
 
     ``engine`` overrides ``config.engine``; pass pre-generated
-    ``schedules`` (from :func:`generate_fleet_schedules`) to amortise
-    traffic generation across runs — they must match ``config``.
+    ``schedules`` (a :class:`~repro.runtime.traffic.ScheduleSet` from
+    :func:`generate_fleet_schedules`) to amortise traffic generation across
+    runs — its shape and region map must match ``config``.  Per-board
+    ``[(gap_ns, region, module), ...]`` lists are accepted too: each board
+    needs ``requests_per_board`` entries from ``config.region_map()`` with
+    int gaps >= 0, and they are packed into a set before either engine runs.
 
     ``telemetry`` is an optional sim-clock
     :class:`~repro.obs.telemetry.TimeSeriesStore`: the fast engine records
@@ -447,10 +488,8 @@ def run_fleet(
     t0 = time.perf_counter()
     if schedules is None:
         schedules = generate_fleet_schedules(config)
-    elif len(schedules) != config.n_boards:
-        raise ValueError(
-            f"got {len(schedules)} schedules for {config.n_boards} boards"
-        )
+    else:
+        schedules = _schedule_set(config, schedules)
     engine_stats: Optional[FastRunStats] = None
     if engine == "kernel":
         boards, sim = _run_kernel_boards(config, arch, schedules)

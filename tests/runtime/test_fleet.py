@@ -3,12 +3,15 @@
 import dataclasses
 import random
 
+import pytest
+
 from repro.reconfig import case_a_standalone
 from repro.runtime import (
     Board,
     FleetConfig,
     FleetJob,
     board_rng,
+    generate_fleet_schedules,
     generate_schedule,
     run_fleet,
     run_frontier,
@@ -117,8 +120,6 @@ def test_frontier_replays_identical_traffic():
 
 
 def test_unknown_policy_fails_before_building_the_fleet():
-    import pytest
-
     with pytest.raises(ValueError, match="unknown policy"):
         run_fleet(dataclasses.replace(SMALL, policy="oracle"))
 
@@ -178,3 +179,75 @@ def test_telemetry_never_perturbs_the_digest():
             assert store.total("fleet.hits", policy=policy) == hits
             rows[trace_boards] = store.to_rows()
         assert rows[2] == rows[0], policy
+
+
+# -- inputs the two engines would disagree on are refused up front ----------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_boards", -1),
+        ("requests_per_board", -5),
+        ("trace_boards", -1),
+        ("mean_gap_ns", -10),
+        ("regions", 0),
+        ("modules_per_region", 0),
+        ("region_slots", 0),
+    ],
+)
+def test_fleet_config_rejects_out_of_range_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        FleetConfig(**{field: value})
+
+
+TINY = FleetConfig(n_boards=2, requests_per_board=10, policy="none")
+
+
+def _tuple_schedules(config=TINY):
+    return list(generate_fleet_schedules(config))
+
+
+@pytest.mark.parametrize("engine", ["fast", "kernel"])
+@pytest.mark.parametrize(
+    "lengths, board", [((5, 5), 0), ((5, 10), 0), ((10, 5), 1)]
+)
+def test_run_fleet_rejects_schedules_of_the_wrong_length(engine, lengths, board):
+    schedules = [s[:n] for s, n in zip(_tuple_schedules(), lengths)]
+    with pytest.raises(ValueError, match=f"board {board}: 5 requests, expected 10"):
+        run_fleet(TINY, engine=engine, schedules=schedules)
+
+
+@pytest.mark.parametrize("engine", ["fast", "kernel"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ((100, "R9", "m0"), "'R9'"),
+        ((100, "R0", "m7"), "'m7'"),
+        ((-3, "R0", "m0"), "gap -3"),
+        ((2.5, "R0", "m0"), "gap 2.5"),
+    ],
+)
+def test_run_fleet_rejects_entries_outside_the_config(engine, entry, message):
+    schedules = _tuple_schedules()
+    schedules[1][4] = entry
+    with pytest.raises(ValueError, match=f"board 1: .*{message}"):
+        run_fleet(TINY, engine=engine, schedules=schedules)
+
+
+def test_run_fleet_checks_a_passed_array_set_against_the_config():
+    fewer = generate_fleet_schedules(dataclasses.replace(TINY, requests_per_board=5))
+    with pytest.raises(ValueError, match="5 requests per board"):
+        run_fleet(TINY, schedules=fewer)
+    other_map = generate_fleet_schedules(dataclasses.replace(TINY, regions=3))
+    with pytest.raises(ValueError, match="region map"):
+        run_fleet(TINY, schedules=other_map)
+
+
+def test_valid_tuple_schedules_run_like_the_generated_set():
+    schedules = _tuple_schedules()
+    for engine in ("fast", "kernel"):
+        assert (
+            run_fleet(TINY, engine=engine, schedules=schedules).digest()
+            == run_fleet(TINY, engine=engine).digest()
+        )

@@ -465,6 +465,25 @@ def test_fleet_json_output():
     assert len(report["digest"]) == 64
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--boards", "-1", "n_boards"),
+        ("--requests", "-5", "requests_per_board"),
+        ("--regions", "0", "regions"),
+        ("--modules", "0", "modules_per_region"),
+        ("--mean-gap", "-10", "mean_gap_ns"),
+        ("--slots", "0", "region_slots"),
+        ("--trace-boards", "-1", "trace_boards"),
+    ],
+)
+def test_fleet_out_of_range_flags_are_clean_errors(flag, value, field):
+    code, text = run_cli("fleet", "--policy", "none", flag, value)
+    assert code == 2
+    assert text.startswith(f"error: {field} must be")
+    assert "Traceback" not in text
+
+
 def test_fleet_rejects_unknown_policy_at_parse_time(capsys):
     with pytest.raises(SystemExit):
         run_cli("fleet", "--policy", "oracle")
