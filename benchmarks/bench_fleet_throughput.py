@@ -6,8 +6,9 @@ The fleet multiplexer now ships two engines over identical semantics:
   (the reference path; traces, cross-board coupling),
 - ``fast`` — the manager state advanced with vectorized per-step updates
   over the schedule set's ``(boards, requests)`` arrays, which are born in
-  that form (scalar micro-sim fallback for policies that resist
-  vectorization).
+  that form: one array core per policy bundle and slot count, a
+  chronological job loop for multi-slot speculation, and a kernel replay
+  for the rare board whose request meets an event tie.
 
 Both engines replay one schedule set generated before the timed runs, and
 the fast engine reads its arrays without repacking them, so
@@ -24,7 +25,9 @@ engines with matched warm-up, best-of-3 walls, and asserts
   (>= 3x under ``FLEET_SMOKE=1``, where fixed costs dominate the tiny
   fleet), plus the absolute req/s floors,
 - the per-policy frontier invariants (belady bounds its online
-  competitors), with both engines' digests compared per policy.
+  competitors), with both engines' digests compared per policy — all
+  eight frontier policies, plus a two-slot frontier on fixed/history/
+  markov, in smoke mode too.
 
 Writes ``BENCH_fleet_throughput.json`` (full) or
 ``BENCH_fleet_throughput_smoke.json`` (smoke) with kernel and fast walls
@@ -33,6 +36,7 @@ side by side.
 
 import os
 import time
+from dataclasses import replace
 
 from conftest import write_bench_json
 
@@ -46,11 +50,11 @@ HEADLINE_POLICY = "fixed"
 
 FRONTIER_BOARDS = 16 if SMOKE else 200
 FRONTIER_REQUESTS = 40 if SMOKE else 100
-FRONTIER_POLICIES = (
-    ("fixed", "lru")
-    if SMOKE
-    else ("none", "fixed", "history", "confidence", "markov", "lru", "lfu", "belady")
-)
+FRONTIER_POLICIES = ("none", "fixed", "history", "confidence", "markov", "lru", "lfu", "belady")
+#: prefetching bundles under a multi-slot area override (resident block,
+#: chronological loop), compared across engines like the frontier
+SLOTS_FRONTIER_POLICIES = ("fixed", "history", "markov")
+SLOTS_FRONTIER_SLOTS = 2
 
 #: Absolute wall-clock floors, far below measured rates so shared CI
 #: runners only fail on a real regression (kernel ~15-20k req/s, fast
@@ -130,6 +134,11 @@ def test_fleet_throughput():
     )
     for policy in FRONTIER_POLICIES:
         assert frontier[policy].digest() == frontier_kernel[policy].digest(), policy
+    slots_base = replace(frontier_base, region_slots=SLOTS_FRONTIER_SLOTS)
+    slots_frontier = run_frontier(slots_base, list(SLOTS_FRONTIER_POLICIES))
+    slots_kernel = run_frontier(slots_base, list(SLOTS_FRONTIER_POLICIES), engine="kernel")
+    for policy in SLOTS_FRONTIER_POLICIES:
+        assert slots_frontier[policy].digest() == slots_kernel[policy].digest(), policy
     if not SMOKE:
         # Clairvoyant eviction bounds its online competitors from above.
         assert frontier["belady"].hit_rate >= frontier["lru"].hit_rate
@@ -173,6 +182,16 @@ def test_fleet_throughput():
             }
             for policy, report in frontier.items()
         },
+        "slots_frontier": {
+            "region_slots": SLOTS_FRONTIER_SLOTS,
+            **{
+                policy: {
+                    **report.to_dict(),
+                    "kernel_digest": slots_kernel[policy].digest(),
+                }
+                for policy, report in slots_frontier.items()
+            },
+        },
     }
     write_bench_json(name, payload)
 
@@ -186,7 +205,12 @@ def test_fleet_throughput():
         "",
         f"{'policy':<12} {'hit rate':>9} {'mean stall':>12} {'req/s':>10} {'mode':>18}",
     ]
-    for policy, report in frontier.items():
+    rows = [(policy, report) for policy, report in frontier.items()]
+    rows += [
+        (f"{policy}/{SLOTS_FRONTIER_SLOTS}", report)
+        for policy, report in slots_frontier.items()
+    ]
+    for policy, report in rows:
         mode = report.engine_stats.mode if report.engine_stats else "kernel"
         lines.append(
             f"{policy:<12} {report.hit_rate:>8.1%} {report.mean_stall_ns / 1e3:>10.1f}us"

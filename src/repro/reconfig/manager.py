@@ -104,6 +104,8 @@ class _Job:
     demand: bool
     done: Event
     cancelled: bool = False
+    #: a demand satisfied from the resident area once dequeued
+    hit: bool = False
 
 
 @dataclass
@@ -143,6 +145,7 @@ class ReconfigurationManager:
         max_load_retries: int = 2,
         region_slots: int = 1,
         eviction: Optional[EvictionPolicy] = None,
+        telemetry=None,
     ):
         if request_latency_ns < 0:
             raise ReconfigError("request latency must be >= 0")
@@ -170,6 +173,11 @@ class ReconfigurationManager:
         self.region_slots = region_slots
         self.eviction = eviction
         self._multi = region_slots > 1
+        #: Optional event sink with two lists: ``scalar_demands`` gets one
+        #: ``(t_req, stall_ns, hit)`` per completed demand (``hit``: instant
+        #: or resident) and ``scalar_port`` one ``(end_ns, duration_ns)``
+        #: per transfer — the fleet telemetry recorder's input.
+        self.telemetry = telemetry
         self.stats = ManagerStats()
         self.in_reconf: dict[str, Signal] = {}
         self._regions: dict[str, _RegionState] = {}
@@ -243,6 +251,7 @@ class ReconfigurationManager:
                 self.stats.useful_prefetches += 1
                 state.unclaimed_prefetch = None
             self.stats.instant_hits += 1
+            self._record_demand(called_at, 0, True)
             ev = self.sim.event(name=f"hit:{region}/{module}")
             ev.succeed()
             if len(state.queue or ()) == 0:
@@ -256,6 +265,7 @@ class ReconfigurationManager:
                 self.stats.useful_prefetches += 1
                 state.unclaimed_prefetch = None
             self.stats.resident_hits += 1
+            self._record_demand(called_at, 0, True)
             self._activate(region, state, module)
             ev = self.sim.event(name=f"hit:{region}/{module}")
             ev.succeed()
@@ -278,7 +288,7 @@ class ReconfigurationManager:
         # Cancel queued speculation for other modules; queue a demand load.
         job = self._enqueue(region, module, demand=True)
         ev = self.sim.event(name=f"demand:{region}/{module}")
-        self._chain_stall(job.done, ev, called_at)
+        self._chain_stall(job.done, ev, called_at, job)
         return ev
 
     # -- internals ----------------------------------------------------------------------
@@ -324,9 +334,16 @@ class ReconfigurationManager:
         except KeyError:
             return False
 
-    def _chain_stall(self, source: Event, target: Event, called_at: int) -> None:
+    def _record_demand(self, called_at: int, stall_ns: int, hit: bool) -> None:
+        if self.telemetry is not None:
+            self.telemetry.scalar_demands.append((called_at, stall_ns, hit))
+
+    def _chain_stall(
+        self, source: Event, target: Event, called_at: int, job: Optional[_Job] = None
+    ) -> None:
         def on_done(ev: Event) -> None:
             self.stats.stall_ns += self.sim.now - called_at
+            self._record_demand(called_at, self.sim.now - called_at, job is not None and job.hit)
             if ev.ok:
                 target.succeed()
             else:
@@ -372,6 +389,7 @@ class ReconfigurationManager:
                         self.stats.useful_prefetches += 1
                         state.unclaimed_prefetch = None
                     self.stats.resident_hits += 1
+                    job.hit = True
                     self._activate(region, state, job.module)
                 job.done.succeed()
                 if job.demand and len(state.queue) == 0:
@@ -394,7 +412,9 @@ class ReconfigurationManager:
                 self.trace.begin(self.sim.now, f"region.{region}", load_kind, detail=job.module)
             previous = state.loaded
             try:
-                yield self.sim.process(self.builder.load(region, job.module))
+                outcome = yield self.sim.process(self.builder.load(region, job.module))
+                if self.telemetry is not None:
+                    self.telemetry.scalar_port.append((self.sim.now, outcome.duration_ns))
                 if self.verify_readback:
                     attempts = 0
                     while True:

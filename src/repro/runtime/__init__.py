@@ -14,8 +14,9 @@ boards onto one deterministic event kernel:
   prefetch strategies and multi-slot eviction bundles,
 - :mod:`repro.runtime.fleet` — the fleet driver and the per-policy
   hit-rate / stall-latency frontier, with an ``engine`` selector,
-- :mod:`repro.runtime.fast` — the batched array-state engine reproducing
-  the kernel's outcomes exactly (digest parity) at vector speed.
+- :mod:`repro.runtime.fast` — the batched array-state engine: a core for
+  every policy bundle and slot count, reproducing the kernel's outcomes
+  exactly (digest parity) at vector speed, with the kernel as its oracle.
 """
 
 from repro.runtime.board import Board

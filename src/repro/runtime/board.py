@@ -48,6 +48,7 @@ class Board:
         trace: Optional[Trace] = None,
         strict_crc: bool = True,
         verify_readback: bool = False,
+        telemetry=None,
     ):
         self.name = name
         self.sim = sim
@@ -65,6 +66,7 @@ class Board:
             verify_readback=verify_readback,
             region_slots=region_slots,
             eviction=eviction,
+            telemetry=telemetry,
         )
         self.runner: Optional[ExecutiveRunner] = None
         #: set once drive() finishes the board's whole schedule

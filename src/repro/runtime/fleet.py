@@ -14,17 +14,18 @@ Two engines produce that outcome:
   discrete events.  Required for tracing and for any future cross-board
   coupling (shared backhaul, fleet-wide admission control).
 - ``engine="fast"`` (default) — :mod:`repro.runtime.fast` replays the same
-  schedules against array-state cores (or an exact scalar micro-simulator
-  for speculative policies), reproducing per-board counters and
+  schedules against one array engine (a core per policy bundle, plus a
+  chronological job loop), reproducing per-board counters and
   ``end_time_ns`` exactly: ``FleetReport.digest()`` is identical across
-  engines.  It computes counters and telemetry for every board; with
+  engines.  It computes counters and telemetry for every board; the rare
+  board whose request meets an event tie replays on the kernel, and with
   ``trace_boards > 0`` the first boards additionally replay on a kernel
   subset that only produces their trace lanes.
 
 Schedules are born as a :class:`~repro.runtime.traffic.ScheduleSet` (three
 ``(boards, requests)`` int arrays), generated for all boards in lockstep.
-The fast engine's vector cores read those arrays directly; kernel boards and
-the scalar fallback read the decoded per-board tuple view.  A caller's own
+The fast engine's cores read those arrays directly; kernel boards and
+the chronological loop read the decoded per-board tuple view.  A caller's own
 tuple lists are packed into a set once, with validation, at the
 :func:`run_fleet` boundary.
 
@@ -145,9 +146,9 @@ class FleetReport:
     traces: list[Trace] = field(default_factory=list)
     #: which engine produced this report ("kernel" or "fast")
     engine: str = "kernel"
-    #: fast-engine execution stats (vector vs scalar board counts); None
-    #: for kernel runs.  Excluded from the digest: it describes *how* the
-    #: outcome was computed, not the outcome.
+    #: fast-engine execution stats (core, loop and kernel-replay board
+    #: counts); None for kernel runs.  Excluded from the digest: it
+    #: describes *how* the outcome was computed, not the outcome.
     engine_stats: Optional[FastRunStats] = None
 
     @property
@@ -210,33 +211,35 @@ class FleetReport:
 
 
 class FleetTelemetryRecorder:
-    """Low-overhead telemetry collector for the fast engine.
+    """Low-overhead telemetry collector for the fast engine, and the
+    kernel's per-event sink.
 
     The vector cores hand over *references* to arrays they compute anyway
-    each step (no derived arrays are built in the step loop) and the
-    scalar micro-simulator appends plain tuples; :meth:`flush` then hands
-    lazy batch closures to a
-    :class:`~repro.obs.telemetry.TimeSeriesStore`'s write-behind buffer,
-    so all concatenation and windowed aggregation runs at the store's
-    first read — outside the timed simulation.  The simulated state is
-    never read back, so enabling telemetry cannot move
-    ``FleetReport.digest()``.
+    each step (no derived arrays are built in the step loop).  The kernel
+    manager (``engine="kernel"`` and tie replays) and the fast engine's
+    chronological loop append plain tuples to :attr:`scalar_demands` and
+    :attr:`scalar_port`.  :meth:`flush` then hands lazy batch closures to a
+    :class:`~repro.obs.telemetry.TimeSeriesStore`'s write-behind buffer, so
+    all concatenation and windowed aggregation runs at the store's first
+    read — outside the timed simulation.  The simulated state is never read
+    back, so enabling telemetry cannot move ``FleetReport.digest()``.
 
     Series produced (sim-clock windows, labeled ``policy=...``):
     ``fleet.demands`` / ``fleet.hits`` counters keyed by request time,
     ``fleet.stall_ns`` quantile sketch over per-demand stalls (zero on a
     hit — the full request-latency distribution, so p99 covers misses),
-    ``fleet.port_busy_ns`` transfer occupancy, and the derived
-    ``fleet.port_util`` gauge (busy ns / window ns / boards).
+    ``fleet.port_busy_ns`` transfer occupancy keyed by each transfer's end,
+    and the derived ``fleet.port_util`` gauge (busy ns / window ns /
+    boards), summed board by board in time order.  Both engines produce
+    the same rows.
     """
 
     def __init__(self):
-        #: vector-core batches of *raw* step arrays, captured by reference.
-        #: No-prefetch cores record ``(t_req, miss, duration)``; on-select
-        #: cores record ``(t_req, stall, early, same, load)`` and set
-        #: :attr:`mode`.  Everything else — stalls, hit masks, port
-        #: occupancy — is derived from these in bulk at the store's first
-        #: read.  Keeping the retained set minimal matters: every
+        #: vector-core batches of *raw* step arrays, captured by reference,
+        #: in the layout of the core named by :attr:`mode` (see
+        #: :meth:`_step_events`).  Everything else — stalls, hit masks,
+        #: port transfers — is derived from these in bulk at the store's
+        #: first read.  Keeping the retained set minimal matters: every
         #: referenced array blocks numpy's buffer reuse for the whole run,
         #: which is most of the telemetry overhead the ≤5% guard measures.
         #: :meth:`record_step` therefore compacts every
@@ -252,10 +255,15 @@ class FleetTelemetryRecorder:
         #: subtracted from recorded durations (the no-prefetch core hands
         #: over ``latency + transfer`` durations it computed anyway)
         self.port_offset_ns: int = 0
-        #: scalar-board demand completions: (t_req, stall_ns, hit)
+        #: per-event demand completions: (t_req, stall_ns, hit)
         self.scalar_demands: list[tuple] = []
-        #: scalar-board port transfers: (end_ns, duration_ns)
+        #: per-event port transfers: (end_ns, duration_ns)
         self.scalar_port: list[tuple] = []
+        #: the board of each :attr:`scalar_port` event, when known (the
+        #: fast engine labels them; the shared-kernel run cannot)
+        self.scalar_port_boards: list[int] = []
+        #: boards whose step arrays the per-event lists supersede
+        self.skip_boards: Optional[np.ndarray] = None
 
     def record_step(self, *arrays) -> None:
         steps = self._steps
@@ -266,6 +274,23 @@ class FleetTelemetryRecorder:
             del steps[-self._n_small:]
             steps.append(tuple(np.concatenate(cols) for cols in zip(*tail)))
             self._n_small = 0
+
+    @staticmethod
+    def _step_events(mode: str, offset: int, cols: list[np.ndarray]):
+        """One core's raw step columns as demand and port events.
+
+        Returns ``(t, stall, hit, ports)``; ``ports`` lists
+        ``(mask, end, duration)`` triples, one per transfer kind.
+        """
+        t = cols[0]
+        if mode == "onselect":
+            spec_end, early, fetch, load = cols[1:]
+            return t, np.where(early, spec_end - t, 0), ~early, [(fetch, spec_end, load)]
+        if mode == "speculate":
+            stall, hit, reload, load_end, load, go, spec_end, spec_load = cols[1:]
+            return t, stall, hit, [(reload, load_end, load), (go, spec_end, spec_load)]
+        miss, duration = cols[1:]
+        return t, np.where(miss, duration, 0), ~miss, [(miss, t + duration, duration - offset)]
 
     def flush(self, store: "TimeSeriesStore", policy: str, n_boards: int) -> None:
         """Hand the accumulated batches to the store as *lazy* batches.
@@ -282,6 +307,8 @@ class FleetTelemetryRecorder:
         self._n_small = 0
         scalar_demands, self.scalar_demands = self.scalar_demands, []
         scalar_port, self.scalar_port = self.scalar_port, []
+        port_boards, self.scalar_port_boards = self.scalar_port_boards, []
+        skip, self.skip_boards = self.skip_boards, None
         if not steps and not scalar_demands and not scalar_port:
             return
         mode = self.mode
@@ -297,27 +324,20 @@ class FleetTelemetryRecorder:
             if cache:
                 return cache
             parts_t, parts_stall, parts_hit_t = [], [], []
-            parts_port_t, parts_port_v = [], []
+            parts_board, parts_end, parts_dur = [], [], []
             if steps:
-                t = _cat([s[0] for s in steps])
-                if mode == "onselect":
-                    stall = _cat([s[1] for s in steps])
-                    hits = ~_cat([s[2] for s in steps])  # same | late
-                    port_mask = ~_cat([s[3] for s in steps])  # every ~same
-                    port_v = _cat([s[4] for s in steps])[port_mask]
-                else:
-                    miss = _cat([s[1] for s in steps])
-                    duration = _cat([s[2] for s in steps])
-                    stall = np.where(miss, duration, 0)
-                    hits = ~miss
-                    port_mask = miss
-                    port_v = duration[miss] - offset
-                parts_t.append(t)
-                parts_stall.append(stall)
-                parts_hit_t.append(t[hits])
-                keep = port_v > 0
-                parts_port_t.append(t[port_mask][keep])
-                parts_port_v.append(port_v[keep])
+                cols = [_cat(list(col)) for col in zip(*steps)]
+                t, stall, hit, ports = self._step_events(mode, offset, cols)
+                board = np.arange(len(t)) % max(n_boards, 1)
+                keep = ~skip[board] if skip is not None else np.ones(len(t), dtype=bool)
+                parts_t.append(t[keep])
+                parts_stall.append(stall[keep])
+                parts_hit_t.append(t[hit & keep])
+                for mask, end, duration in ports:
+                    mask = mask & keep
+                    parts_board.append(board[mask])
+                    parts_end.append(end[mask])
+                    parts_dur.append(duration[mask])
             if scalar_demands:
                 events = np.asarray(scalar_demands, dtype=np.int64)
                 parts_t.append(events[:, 0])
@@ -325,15 +345,28 @@ class FleetTelemetryRecorder:
                 parts_hit_t.append(events[:, 0][events[:, 2].astype(bool)])
             if scalar_port:
                 events = np.asarray(scalar_port, dtype=np.int64)
-                keep = events[:, 1] > 0
-                parts_port_t.append(events[:, 0][keep])
-                parts_port_v.append(events[:, 1][keep])
+                parts_board.append(
+                    np.asarray(port_boards, dtype=np.int64)
+                    if len(port_boards) == len(events)
+                    else np.zeros(len(events), dtype=np.int64)
+                )
+                parts_end.append(events[:, 0])
+                parts_dur.append(events[:, 1])
             empty = np.empty(0, dtype=np.int64)
             cache["t"] = _cat(parts_t) if parts_t else empty
             cache["stall"] = _cat(parts_stall) if parts_stall else empty
             cache["hit_t"] = _cat(parts_hit_t) if parts_hit_t else empty
-            cache["port_t"] = _cat(parts_port_t) if parts_port_t else empty
-            cache["port_v"] = _cat(parts_port_v) if parts_port_v else empty
+            if parts_end:
+                end, duration = _cat(parts_end), _cat(parts_dur)
+                # board by board, in time order: the summation order of the
+                # float port_util contributions (the shared kernel labels no
+                # board and keeps its own chronological order)
+                order = np.lexsort((end, _cat(parts_board)))
+                busy = duration[order] > 0
+                cache["port_t"] = end[order][busy]
+                cache["port_v"] = duration[order][busy]
+            else:
+                cache["port_t"] = cache["port_v"] = empty
             return cache
 
         store.defer_array(
@@ -408,6 +441,7 @@ def _build_kernel_board(
     index: int,
     schedule: Sequence[tuple[int, str, str]],
     traced: bool,
+    sink=None,
 ) -> Board:
     bundle = get_bundle(config.policy)
     future = future_from_schedule(schedule) if bundle.needs_future else None
@@ -426,6 +460,7 @@ def _build_kernel_board(
         eviction=runtime_policy.eviction,
         region_slots=runtime_policy.region_slots,
         trace=trace,
+        telemetry=sink,
     )
     # Every region ships its first module in the startup bitstream, so
     # boards start warm and the first request is not always a miss.
@@ -440,8 +475,13 @@ def _run_kernel_boards(
     arch: ReconfigArchitecture,
     schedules: ScheduleSet,
     first_index: int = 0,
+    sink=None,
 ) -> tuple[list[Board], Simulator]:
-    """Build and run a (sub)fleet on one shared reference kernel."""
+    """Build and run a (sub)fleet on one shared reference kernel.
+
+    ``sink`` receives every board's telemetry events (see
+    :class:`FleetTelemetryRecorder`).
+    """
     region_map = config.region_map()
     sim = Simulator()
     boards = [
@@ -449,6 +489,7 @@ def _run_kernel_boards(
             config, sim, arch, region_map,
             first_index + offset, schedule,
             traced=(first_index + offset) < config.trace_boards,
+            sink=sink,
         )
         for offset, schedule in enumerate(schedules)
     ]
@@ -473,11 +514,11 @@ def run_fleet(
     int gaps >= 0, and they are packed into a set before either engine runs.
 
     ``telemetry`` is an optional sim-clock
-    :class:`~repro.obs.telemetry.TimeSeriesStore`: the fast engine records
+    :class:`~repro.obs.telemetry.TimeSeriesStore`: either engine records
     windowed per-policy hit/stall/port series for every board through
-    :class:`FleetTelemetryRecorder` (flushed per step-batch, digest parity
-    untouched), so tracing never changes them.  The kernel engine records
-    none.
+    :class:`FleetTelemetryRecorder` (digest parity untouched), and both
+    record the same rows.  Trace lanes never feed it, so tracing never
+    changes them.
     """
     get_bundle(config.policy)  # fail fast on unknown names
     engine = engine if engine is not None else config.engine
@@ -491,18 +532,24 @@ def run_fleet(
     else:
         schedules = _schedule_set(config, schedules)
     engine_stats: Optional[FastRunStats] = None
+    recorder = FleetTelemetryRecorder() if telemetry is not None else None
     if engine == "kernel":
-        boards, sim = _run_kernel_boards(config, arch, schedules)
+        boards, sim = _run_kernel_boards(config, arch, schedules, sink=recorder)
         per_board = [board.stats.to_dict() for board in boards]
         end_time_ns = sim.now
         open_traces = [board.trace for board in boards if board.trace is not None]
     else:
-        recorder = FleetTelemetryRecorder() if telemetry is not None else None
+
+        def replay(index: int, sink) -> tuple[dict, int]:
+            # a board whose request meets an event tie: the kernel orders it
+            (board,), sim = _run_kernel_boards(
+                config, arch, schedules[index:index + 1], index, sink=sink
+            )
+            return board.stats.to_dict(), sim.now
+
         per_board, fast_ends, engine_stats = simulate_fast_fleet(
-            config, schedules, arch, recorder=recorder
+            config, schedules, arch, recorder=recorder, replay=replay
         )
-        if recorder is not None:
-            recorder.flush(telemetry, policy=config.policy, n_boards=config.n_boards)
         end_time_ns = max(fast_ends, default=0)
         # The per-engine parity tests pin the fast counters to the kernel's,
         # so the traced subset replays on the kernel only for its lanes.
@@ -511,6 +558,8 @@ def run_fleet(
         if traced:
             traced_boards, _ = _run_kernel_boards(config, arch, schedules[:traced])
             open_traces = [b.trace for b in traced_boards if b.trace is not None]
+    if recorder is not None:
+        recorder.flush(telemetry, policy=config.policy, n_boards=config.n_boards)
     wall_s = time.perf_counter() - t0
     totals: dict[str, int] = {}
     for stats in per_board:

@@ -1,15 +1,22 @@
 """Engine parity: the batched fast path must match the kernel digest-exactly.
 
-The fast engine re-derives manager behaviour as closed forms (vector cores)
-and a scalar micro-simulator; these tests are the contract that keeps both
-honest.  The property sweep covers every policy bundle x traffic pattern x
-seed x region-slot override and asserts bit-identical per-board counters
-and end times — the same discipline PR 3 (incremental scheduler) and PR 4
-(batched link engine) use for their reference paths.
+The fast engine re-derives manager behaviour as array cores (closed forms
+per request step) plus a chronological job loop; these tests are the
+contract that keeps them honest.  The property sweep covers every policy
+bundle x traffic pattern x seed x region-slot override and asserts
+bit-identical per-board counters and end times — the same discipline the
+incremental scheduler and the batched link engine use for their reference
+paths.  The telemetry oracle holds both engines to the same windowed rows,
+and the tie-stress sweep drives request instants onto every latency and
+transfer boundary.
 """
+
+import random
+from dataclasses import replace
 
 import pytest
 
+from repro.obs.telemetry import TimeSeriesStore
 from repro.reconfig.manager import COUNTER_FIELDS, ManagerStats, ReconfigError
 from repro.runtime import (
     ENGINES,
@@ -20,12 +27,10 @@ from repro.runtime import (
     run_frontier,
     vector_mode,
 )
+from repro.runtime.fast import _load_table
+from repro.runtime.fleet import _architecture
 
 ALL_POLICIES = policy_names()
-
-#: Policies the vector cores cover at their bundle-default slots.
-VECTORIZED = [p for p in ALL_POLICIES if vector_mode(p) is not None]
-SCALAR = [p for p in ALL_POLICIES if vector_mode(p) is None]
 
 
 def _parity(config: FleetConfig) -> tuple:
@@ -155,19 +160,25 @@ def test_vector_mode_dispatch_table():
     assert vector_mode("lfu") == "noprefetch-lfu"
     # one slot makes eviction bookkeeping unobservable: plain sequential core
     assert vector_mode("lru", 1) == "noprefetch-single"
-    # speculation and clairvoyance resist vectorization -> scalar micro-sim
-    assert vector_mode("history") is None
-    assert vector_mode("markov") is None
-    assert vector_mode("belady") is None
-    # a multi-slot override on a prefetching bundle falls back too
-    assert vector_mode("fixed", 2) is None
+    assert vector_mode("belady", 1) == "noprefetch-single"
+    # clairvoyance is a next-use metric on the no-prefetch core
+    assert vector_mode("belady") == "noprefetch-belady"
+    # idle-time speculation has its own one-slot core
+    assert vector_mode("history") == "speculate"
+    assert vector_mode("confidence") == "speculate"
+    assert vector_mode("markov") == "speculate"
+    # multi-slot overrides: on-select gets the resident block, speculation
+    # the chronological job loop
+    assert vector_mode("fixed", 2) == "onselect-fifo"
+    assert vector_mode("history", 2) == "chrono"
+    assert vector_mode("markov", 3) == "chrono"
 
 
 def test_vectorized_policies_actually_vectorize():
-    """Regression guard: the fast engine must not silently fall back to the
-    scalar loop for the bundles the vector cores exist for (the analogue of
-    the incremental scheduler's eval-count guard)."""
-    for policy in VECTORIZED:
+    """Regression guard: no bundle may silently leave the array engine for
+    the kernel (the analogue of the incremental scheduler's eval-count
+    guard)."""
+    for policy in ALL_POLICIES:
         report = run_fleet(
             FleetConfig(n_boards=4, requests_per_board=25, policy=policy),
             engine="fast",
@@ -178,16 +189,6 @@ def test_vectorized_policies_actually_vectorize():
         assert stats.vector_boards == 4
         assert stats.scalar_boards == 0
         assert stats.vector_steps == 25
-    for policy in SCALAR:
-        report = run_fleet(
-            FleetConfig(n_boards=4, requests_per_board=25, policy=policy),
-            engine="fast",
-        )
-        stats = report.engine_stats
-        assert stats is not None
-        assert stats.mode == "scalar"
-        assert stats.scalar_boards == 4
-        assert stats.vector_boards == 0
 
 
 def test_fast_engine_throughput_floor():
@@ -327,3 +328,115 @@ def test_property_sweep_full_matrix_smoke():
                 seed=13,
             )
             _parity(config)
+
+
+# -- one array engine, the kernel as oracle ---------------------------------
+
+
+def _rows(store: TimeSeriesStore) -> list[dict]:
+    return [row for row in store.to_rows() if not row.get("meta")]
+
+
+def _assert_same_telemetry(kernel_rows: list[dict], fast_rows: list[dict]) -> None:
+    """Counters and sketches exactly; ``fleet.port_util`` to 1e-12 relative,
+    because the engines sum its float contributions in different orders."""
+    assert len(kernel_rows) == len(fast_rows)
+    for k_row, f_row in zip(kernel_rows, fast_rows):
+        if k_row["name"] == "fleet.port_util":
+            k_value, f_value = k_row.pop("value"), f_row.pop("value")
+            assert f_value == pytest.approx(k_value, rel=1e-12, abs=0)
+        assert k_row == f_row
+
+
+def _both_engines(config: FleetConfig, schedules=None) -> tuple:
+    stores = {engine: TimeSeriesStore(window=1_000_000, clock="sim") for engine in ENGINES}
+    reports = {
+        engine: run_fleet(config, engine=engine, schedules=schedules, telemetry=store)
+        for engine, store in stores.items()
+    }
+    kernel, fast = reports["kernel"], reports["fast"]
+    assert fast.digest() == kernel.digest(), config
+    assert fast.boards == kernel.boards
+    assert fast.end_time_ns == kernel.end_time_ns
+    _assert_same_telemetry(_rows(stores["kernel"]), _rows(stores["fast"]))
+    return kernel, fast
+
+
+@pytest.mark.parametrize("policy", ALL_POLICIES)
+def test_kernel_and_fast_telemetry_agree(policy):
+    """Either engine feeds the recorder the same events: SLO verdicts and
+    dashboards cannot depend on the engine."""
+    for slots in (1, 2, 3):
+        for traffic in ("poisson", "diurnal", "thrash"):
+            config = FleetConfig(
+                n_boards=4, requests_per_board=30, policy=policy, region_slots=slots,
+                traffic=traffic, mean_gap_ns=50_000, seed=slots,
+            )
+            _, fast = _both_engines(config)
+            assert fast.engine_stats.scalar_boards == 0
+
+
+def _tie_schedules(config: FleetConfig, rng: random.Random) -> list:
+    """Gaps on every latency/transfer boundary; only the last board draws
+    zero gaps too, so the others stay off the kernel replay."""
+    arch = _architecture(config.architecture)
+    latency = arch.request_latency_ns
+    transfer = next(iter(_load_table(config, arch, config.region_map()).values()))
+    menu = [
+        1, latency - 1, latency, latency + 1, transfer,
+        latency + transfer - 1, latency + transfer, latency + transfer + 1,
+    ]
+    region_map = config.region_map()
+    return [
+        [
+            (rng.choice(menu + [0] * (board == config.n_boards - 1)), region,
+             rng.choice(region_map[region]))
+            for region in (rng.choice(list(region_map)) for _ in range(config.requests_per_board))
+        ]
+        for board in range(config.n_boards)
+    ]
+
+
+def test_tie_stress_parity_on_every_boundary():
+    """Request instants on latency ends, transfer ends and zero gaps: the
+    fast engine orders them exactly like the kernel, replaying a board on
+    the kernel only where no cheap rule exists."""
+    rng = random.Random(20)
+    replayed = looped = 0
+    for policy in ALL_POLICIES:
+        for slots in (1, 2, 3):
+            for regions in (1, 2, 3):
+                config = FleetConfig(
+                    n_boards=4, requests_per_board=24, policy=policy,
+                    region_slots=slots, regions=regions, modules_per_region=3,
+                )
+                _, fast = _both_engines(config, _tie_schedules(config, rng))
+                replayed += fast.engine_stats.scalar_boards
+                looped += fast.engine_stats.loop_boards
+    assert replayed > 0, "the kernel-replay path never ran"
+    assert looped > 0, "the chronological loop never ran"
+
+
+def test_benchmark_traffic_never_replays_on_the_kernel():
+    """perfbench's fleet-scalar traffic (200 x 500, seeds 0-3) stays on the
+    array engine; the one-slot speculate core hands its few queued-
+    speculation boards to the chronological loop."""
+    for seed in range(4):
+        base = FleetConfig(n_boards=200, requests_per_board=500, traffic="poisson", seed=seed)
+        schedules = generate_fleet_schedules(base)
+        looped = 0
+        for policy in ("history", "confidence", "markov", "belady"):
+            stats = run_fleet(replace(base, policy=policy), schedules=schedules).engine_stats
+            assert stats.scalar_boards == 0, (seed, policy)
+            assert stats.vector_boards == 200
+            looped += stats.loop_boards
+        assert looped > 0
+
+
+def test_zero_gap_boards_replay_on_the_kernel():
+    config = FleetConfig(n_boards=3, requests_per_board=4, policy="history")
+    schedules = [[(5_000, "R0", "m1"), (0, "R0", "m2"), (7, "R1", "m1"), (9, "R0", "m1")]]
+    schedules += [[(5_000, "R0", "m1"), (1, "R0", "m2"), (7, "R1", "m1"), (9, "R0", "m1")]] * 2
+    _, fast = _both_engines(config, schedules)
+    assert fast.engine_stats.scalar_boards == 1
+    assert fast.engine_stats.vector_boards == 2

@@ -674,6 +674,22 @@ def test_traced_fleet_slo_breach_still_exits_three(tmp_path):
     assert "SLO BREACH" in text
 
 
+def test_fleet_slo_drill_breaches_on_either_engine(tmp_path):
+    """The kernel engine records the same telemetry, so the verdict holds."""
+    outputs = {}
+    for engine in ("fast", "kernel"):
+        stream = tmp_path / f"{engine}.jsonl"
+        code, text = run_cli(
+            "fleet", "--boards", "4", "--requests", "20", "--policy", "fixed",
+            "--engine", engine, "--telemetry", str(stream), "--slo-hit-floor", "0.99",
+        )
+        assert code == 3, engine
+        breaches = [line for line in text.splitlines() if line.startswith("SLO BREACH")]
+        assert breaches, engine
+        outputs[engine] = (breaches, len(stream.read_text().splitlines()))
+    assert outputs["kernel"] == outputs["fast"]
+
+
 def test_fleet_slo_pass_keeps_exit_code_zero():
     code, text = run_cli(
         "fleet", "--boards", "4", "--requests", "30", "--policy", "lru",
