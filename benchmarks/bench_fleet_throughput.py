@@ -6,9 +6,8 @@ The fleet multiplexer now ships two engines over identical semantics:
   (the reference path; traces, cross-board coupling),
 - ``fast`` — the manager state advanced with vectorized per-step updates
   over the schedule set's ``(boards, requests)`` arrays, which are born in
-  that form: one array core per policy bundle and slot count, a
-  chronological job loop for multi-slot speculation, and a kernel replay
-  for the rare board whose request meets an event tie.
+  that form: one array core per policy bundle and slot count, and a
+  kernel replay for the rare board whose request meets an event tie.
 
 Both engines replay one schedule set generated before the timed runs, and
 the fast engine reads its arrays without repacking them, so
@@ -26,8 +25,8 @@ engines with matched warm-up, best-of-3 walls, and asserts
   fleet), plus the absolute req/s floors,
 - the per-policy frontier invariants (belady bounds its online
   competitors), with both engines' digests compared per policy — all
-  eight frontier policies, plus a two-slot frontier on fixed/history/
-  markov, in smoke mode too.
+  eight frontier policies, plus two- and three-slot frontiers on fixed
+  and every speculative policy, in smoke mode too.
 
 Writes ``BENCH_fleet_throughput.json`` (full) or
 ``BENCH_fleet_throughput_smoke.json`` (smoke) with kernel and fast walls
@@ -51,10 +50,11 @@ HEADLINE_POLICY = "fixed"
 FRONTIER_BOARDS = 16 if SMOKE else 200
 FRONTIER_REQUESTS = 40 if SMOKE else 100
 FRONTIER_POLICIES = ("none", "fixed", "history", "confidence", "markov", "lru", "lfu", "belady")
-#: prefetching bundles under a multi-slot area override (resident block,
-#: chronological loop), compared across engines like the frontier
-SLOTS_FRONTIER_POLICIES = ("fixed", "history", "markov")
-SLOTS_FRONTIER_SLOTS = 2
+#: prefetching bundles under multi-slot area overrides (the resident
+#: block on the onselect and speculate cores), compared across engines
+#: like the frontier
+SLOTS_FRONTIER_POLICIES = ("fixed", "history", "confidence", "markov")
+SLOTS_FRONTIER_SLOTS = (2, 3)
 
 #: Absolute wall-clock floors, far below measured rates so shared CI
 #: runners only fail on a real regression (kernel ~15-20k req/s, fast
@@ -134,11 +134,17 @@ def test_fleet_throughput():
     )
     for policy in FRONTIER_POLICIES:
         assert frontier[policy].digest() == frontier_kernel[policy].digest(), policy
-    slots_base = replace(frontier_base, region_slots=SLOTS_FRONTIER_SLOTS)
-    slots_frontier = run_frontier(slots_base, list(SLOTS_FRONTIER_POLICIES))
-    slots_kernel = run_frontier(slots_base, list(SLOTS_FRONTIER_POLICIES), engine="kernel")
-    for policy in SLOTS_FRONTIER_POLICIES:
-        assert slots_frontier[policy].digest() == slots_kernel[policy].digest(), policy
+    slots_frontier, slots_kernel = {}, {}
+    for slots in SLOTS_FRONTIER_SLOTS:
+        slots_base = replace(frontier_base, region_slots=slots)
+        slots_frontier[slots] = run_frontier(slots_base, list(SLOTS_FRONTIER_POLICIES))
+        slots_kernel[slots] = run_frontier(
+            slots_base, list(SLOTS_FRONTIER_POLICIES), engine="kernel"
+        )
+        for policy in SLOTS_FRONTIER_POLICIES:
+            assert (
+                slots_frontier[slots][policy].digest() == slots_kernel[slots][policy].digest()
+            ), (policy, slots)
     if not SMOKE:
         # Clairvoyant eviction bounds its online competitors from above.
         assert frontier["belady"].hit_rate >= frontier["lru"].hit_rate
@@ -183,14 +189,14 @@ def test_fleet_throughput():
             for policy, report in frontier.items()
         },
         "slots_frontier": {
-            "region_slots": SLOTS_FRONTIER_SLOTS,
-            **{
+            str(slots): {
                 policy: {
                     **report.to_dict(),
-                    "kernel_digest": slots_kernel[policy].digest(),
+                    "kernel_digest": slots_kernel[slots][policy].digest(),
                 }
-                for policy, report in slots_frontier.items()
-            },
+                for policy, report in reports.items()
+            }
+            for slots, reports in slots_frontier.items()
         },
     }
     write_bench_json(name, payload)
@@ -207,8 +213,9 @@ def test_fleet_throughput():
     ]
     rows = [(policy, report) for policy, report in frontier.items()]
     rows += [
-        (f"{policy}/{SLOTS_FRONTIER_SLOTS}", report)
-        for policy, report in slots_frontier.items()
+        (f"{policy}/{slots}", report)
+        for slots, reports in slots_frontier.items()
+        for policy, report in reports.items()
     ]
     for policy, report in rows:
         mode = report.engine_stats.mode if report.engine_stats else "kernel"

@@ -532,6 +532,8 @@ def _cmd_fleet(args, out) -> int:
             trace_boards=trace_boards,
             engine=args.engine,
         )
+        if args.telemetry_window < 1:
+            raise ValueError(f"telemetry_window must be >= 1, got {args.telemetry_window}")
     except ValueError as err:
         print(f"error: {err}", file=out)
         return 2

@@ -16,40 +16,42 @@ fleet benchmark's ``fast.requests_per_sec``) times the cores alone.
 ``L``, so the configuration port grants loads in the order they *start*,
 and a job's transfer end is fixed the moment it starts:
 ``end = max(start + L, port_free) + transfer``, where ``port_free`` is the
-end of the board's previously started job.  A landing with no queued job
-behind it changes only its own region, so it can be applied lazily when
-that region is next touched.  Only coincidences with the driver's request
+end of the board's previously started job.  A landing changes only its own
+region, so it can be applied lazily when that region is next touched; the
+one job a landing can start (a queued speculation) is started before any
+later job start on the board.  Only coincidences with the driver's request
 instant need event order; the one that matters on generated traffic has an
 exact rule (see :func:`_vector_speculate`), and the rest — a transfer end
 on the request instant, or a zero gap — send that board to the kernel.
 
-Every policy bundle at every ``region_slots`` has a core, picked by
-:func:`vector_mode`:
+:func:`vector_mode` picks a core per policy bundle and ``region_slots``:
 
 - ``noprefetch-*`` (``none``/``lru``/``lfu``/``belady``): demands never
   overlap loads, so a step is hit / resident hit / miss with
   ``stall = latency + transfer`` on a miss, plus masked insert/evict
-  updates on a resident cube whose victim metric is LRU recency, LFU
+  updates on the resident area whose victim metric is LRU recency, LFU
   frequency, FIFO insertion order or Belady's next use (one reverse scan
   over the module matrix).
 - ``onselect`` / ``onselect-fifo`` (``fixed``/``on_select``): the select
   announcement at the previous completion starts a load that the demand a
   gap later joins or finds landed; multi-slot areas add the resident block.
-- ``speculate`` (``history``/``confidence``/``markov`` at one slot): the
-  predictors' count tables are ``(board, module, module)`` tensors, and a
-  step is instant hit, join of the in-flight speculation, idle miss, or
-  "behind a speculation" (it lands, then the demand completes or reloads).
-- ``chrono``: multi-slot speculation, and the rare one-slot boards that
-  queue a second speculation behind a flight, run the board's jobs in
-  chronological order on :class:`_ChronoBoard`, driving the real policy
-  objects.
+- ``speculate`` / ``speculate-fifo`` (``history``/``confidence``/
+  ``markov``): the predictors' count tables are ``(board, module, module)``
+  tensors, and a step is hit, join of the in-flight speculation, idle miss,
+  or "behind a speculation" (it lands, then the demand completes, switches
+  context or reloads); a region holds one flight plus one queued
+  speculation.
+
+Every multi-slot core keeps its areas in one :class:`_Area`.  A bundle no
+core recognises (a subclassed policy, a prefetcher with an eviction rule)
+is ``kernel``: every board replays on the kernel.
 
 The kernel (:mod:`repro.runtime.fleet`'s ``engine="kernel"``) stays the one
 reference: ``tests/runtime/test_fast.py`` pins every core's per-board
-counters and end times to it, and tie boards replay on it.  Counter rows
-use the :data:`~repro.reconfig.manager.COUNTER_FIELDS` layout and are
-rebuilt through :meth:`ManagerStats.from_counters`, so the array form and
-the manager's dataclass can never disagree on field order.
+counters, end times and telemetry to it, and tie boards replay on it.
+Counter rows use the :data:`~repro.reconfig.manager.COUNTER_FIELDS` layout
+and are rebuilt through :meth:`ManagerStats.from_counters`, so the array
+form and the manager's dataclass can never disagree on field order.
 
 Preconditions (all guaranteed by the fleet driver): size-only bitstream
 registration (CRC always verifies), no readback verification, no upset
@@ -58,9 +60,8 @@ injection — the failure/retry counters stay zero on both paths.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -72,8 +73,8 @@ from repro.reconfig.prefetch import (
     NoPrefetchPolicy,
     OnSelectPrefetchPolicy,
 )
-from repro.runtime.policies import RuntimePolicy, create_policy, get_bundle
-from repro.runtime.traffic import ScheduleSet, future_from_schedule
+from repro.runtime.policies import get_bundle
+from repro.runtime.traffic import ScheduleSet
 from repro.sim import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet imports fast)
@@ -92,6 +93,8 @@ _I_RESIDENT = _IDX["resident_hits"]
 _I_EVICTIONS = _IDX["evictions"]
 _I_STALL = _IDX["stall_ns"]
 _N_COUNTERS = len(COUNTER_FIELDS)
+#: a time no event reaches
+_NEVER = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -100,14 +103,13 @@ class FastRunStats:
 
     #: ``vector:<core>``, the core :func:`vector_mode` picked
     mode: str
-    #: boards whose outcome the array engine computed (core or chrono loop)
+    #: boards whose outcome the array engine computed
     vector_boards: int
-    #: boards replayed on the kernel because of an event tie
+    #: boards replayed on the kernel (an event tie, a queue too deep for
+    #: the arrays, or a bundle no core recognises)
     scalar_boards: int
     #: per-step vector updates executed (== requests_per_board)
     vector_steps: int
-    #: boards of ``vector_boards`` that ran on the chronological job loop
-    loop_boards: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -115,7 +117,6 @@ class FastRunStats:
             "vector_boards": self.vector_boards,
             "scalar_boards": self.scalar_boards,
             "vector_steps": self.vector_steps,
-            "loop_boards": self.loop_boards,
         }
 
 
@@ -123,9 +124,8 @@ def vector_mode(policy: str, region_slots: Optional[int] = None) -> str:
     """The core handling ``policy`` at ``region_slots``.
 
     The class checks are exact (``type is``): a subclassed policy may
-    override behaviour the closed forms assume, so anything unrecognised
-    runs on ``chrono``, the chronological job loop over the real policy
-    objects.
+    override behaviour the closed forms assume, so anything unrecognised is
+    ``kernel`` — every board replays on the reference kernel.
     """
     bundle = get_bundle(policy)
     slots = region_slots if region_slots is not None else bundle.region_slots
@@ -138,9 +138,9 @@ def vector_mode(policy: str, region_slots: Optional[int] = None) -> str:
         return f"noprefetch-{kind}"
     if prefetch_type is OnSelectPrefetchPolicy and eviction is None:
         return "onselect-fifo" if multi else "onselect"
-    if prefetch_type in _PREDICTORS and eviction is None and not multi:
-        return "speculate"
-    return "chrono"
+    if prefetch_type in _PREDICTORS and eviction is None:
+        return "speculate-fifo" if multi else "speculate"
+    return "kernel"
 
 
 # ---------------------------------------------------------------------------
@@ -167,34 +167,62 @@ def _load_table(
     }
 
 
-def _evict(resident, metric, rank, ob, orr, om, counters, largest: bool = False):
-    """Evict one candidate per overflowing ``(board, region)`` row.
+class _Area:
+    """Every ``(board, region)`` cell's shared area at ``region_slots`` > 1.
 
-    Candidates are the resident modules except ``om``, the one just
-    inserted.  The victim is the masked argmin of ``metric * (M+1) +
-    name_rank`` (``largest``: argmax), reproducing the policies'
-    ``min``/``max`` over ``(metric, name)`` keys.
+    Flat layout: cell ``board * regions + region``, entry ``cell * modules
+    + module``.  Every region starts with its first module resident.
+    ``metric`` ranks eviction victims; it starts as the FIFO insertion
+    stamp of a per-board ``clock`` that ticks once per preload in
+    region-map order, and the no-prefetch core may swap in LRU recency, LFU
+    frequency or Belady's next use.
     """
-    n_modules = resident.shape[2]
-    candidates = resident[ob, orr].copy()
-    candidates[np.arange(len(ob)), om] = False
-    key = metric[ob, orr] * (n_modules + 1) + rank[orr]
-    if largest:
-        key = -key
-    victim = np.where(candidates, key, np.iinfo(np.int64).max).argmin(axis=1)
-    resident[ob, orr, victim] = False
-    counters[_I_EVICTIONS, ob] += 1
-    return victim
 
+    def __init__(self, n_boards: int, rank_arr: np.ndarray, slots: int):
+        n_regions, n_modules = rank_arr.shape
+        cells = n_boards * n_regions
+        self.slots = slots
+        self.n_regions, self.n_modules = n_regions, n_modules
+        self.rank = rank_arr
+        self.resident = np.zeros((cells, n_modules), dtype=bool)
+        self.resident[:, 0] = True
+        self.count = np.ones(cells, dtype=np.int64)
+        self.clock = np.full(n_boards, n_regions, dtype=np.int64)
+        self.metric = np.zeros((cells, n_modules), dtype=np.int64)
+        self.metric[:, 0] = np.tile(np.arange(1, n_regions + 1), n_boards)
+        #: flat views, indexed by entry
+        self.held = self.resident.reshape(-1)
+        self.key = self.metric.reshape(-1)
 
-def _fifo_cube(n_boards: int, n_regions: int, n_modules: int):
-    """Preloaded resident cube and FIFO insertion clocks (region-map order)."""
-    resident = np.zeros((n_boards, n_regions, n_modules), dtype=bool)
-    resident[:, :, 0] = True
-    clock = np.full(n_boards, n_regions, dtype=np.int64)
-    inserted = np.zeros((n_boards, n_regions, n_modules), dtype=np.int64)
-    inserted[:, :, 0] = np.arange(1, n_regions + 1)
-    return resident, inserted, clock
+    def insert(self, cell, entry, mask, counters, stamp: bool = True, largest: bool = False):
+        """Configure ``entry`` where ``mask`` (never already resident), then
+        evict one victim from each overflowing cell.
+
+        ``stamp`` gives the insert its FIFO stamp.  The victim is the masked
+        argmin of ``metric * (M+1) + name_rank`` (``largest``: argmax) over
+        the cell's other residents, reproducing the policies' ``min``/``max``
+        over ``(metric, name)`` keys.  Returns the overflowing cells and
+        their victims, or None.
+        """
+        self.held[entry] |= mask
+        self.count[cell] += mask
+        if stamp:
+            self.clock += mask
+            self.key[entry] = np.where(mask, self.clock, self.key[entry])
+        over = mask & (self.count[cell] > self.slots)
+        if not over.any():
+            return None
+        cells = cell[over]
+        candidates = self.resident[cells]
+        candidates[np.arange(len(cells)), entry[over] - cells * self.n_modules] = False
+        key = self.metric[cells] * (self.n_modules + 1) + self.rank[cells % self.n_regions]
+        if largest:
+            key = -key
+        victim = np.where(candidates, key, _NEVER).argmin(axis=1)
+        self.resident[cells, victim] = False
+        self.count[cells] -= 1
+        counters[_I_EVICTIONS, cells // self.n_regions] += 1
+        return cells, victim
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +266,26 @@ def _vector_noprefetch(
     Without prefetch the region is always idle when a demand arrives, so a
     step is: hit (active module), resident hit (shared area), or a blocking
     load of ``latency + transfer``.  Multi-slot inserts may overflow the
-    area; :func:`_evict` picks the victim with LRU recency, LFU frequency,
-    FIFO insertion order or Belady's next use as the metric.
+    area; :meth:`_Area.insert` picks the victim with LRU recency, LFU
+    frequency, FIFO insertion order or Belady's next use as the metric.
     """
     n_boards, steps = gaps.shape
     n_regions, n_modules = load_arr.shape
     counters = np.zeros((_N_COUNTERS, n_boards), dtype=np.int64)
     t = np.zeros(n_boards, dtype=np.int64)
     # preload: every region ships its first module (index 0) at power-up
-    loaded = np.zeros((n_boards, n_regions), dtype=np.int64)
-    bi = np.arange(n_boards)
+    loaded = np.zeros(n_boards * n_regions, dtype=np.int64)
+    row = np.arange(n_boards) * n_regions
     multi = slots > 1
     if multi:
         # LRU's clock ticks once per preload in region-map order, exactly
-        # like FIFO's insertion sequence
-        resident, metric_arr, clock = _fifo_cube(n_boards, n_regions, n_modules)
+        # like FIFO's insertion stamps
+        area = _Area(n_boards, rank_arr, slots)
         if eviction == "lfu":
-            metric_arr[:] = 0
+            area.key[:] = 0
         elif eviction == "belady":
-            after, metric_arr = _next_uses(regs, mods, n_regions, n_modules)
+            after, first = _next_uses(regs, mods, n_regions, n_modules)
+            area.key[:] = first.reshape(-1)
     if recorder is not None:
         recorder.mode = "noprefetch"
         recorder.port_offset_ns = latency_ns
@@ -264,19 +293,20 @@ def _vector_noprefetch(
         gap = gaps[:, step]
         region = regs[:, step]
         module = mods[:, step]
+        cell = row + region
         t_req = t + gap
         counters[_I_DEMAND_REQUESTS] += 1
-        if multi and eviction == "lru":
-            clock += 1
-            metric_arr[bi, region, module] = clock
-        elif multi and eviction == "lfu":
-            metric_arr[bi, region, module] += 1
-        elif multi and eviction == "belady":
-            metric_arr[bi, region, module] = after[:, step]
-        active = loaded[bi, region]
-        hit = active == module
+        hit = loaded[cell] == module
         if multi:
-            res_hit = resident[bi, region, module] & ~hit
+            entry = cell * n_modules + module
+            if eviction == "lru":
+                area.clock += 1
+                area.key[entry] = area.clock
+            elif eviction == "lfu":
+                area.key[entry] += 1
+            elif eviction == "belady":
+                area.key[entry] = after[:, step]
+            res_hit = area.held[entry] & ~hit
             miss = ~(hit | res_hit)
             counters[_I_RESIDENT] += res_hit
         else:
@@ -293,24 +323,15 @@ def _vector_noprefetch(
             # untouched and digest parity cannot move
             recorder.record_step(t_req, miss, duration)
         t = t_req + stall
-        loaded[bi, region] = module
+        loaded[cell] = module
         if multi:
-            resident[bi, region, module] = True
-            if eviction is None:
-                clock = clock + miss
-                metric_arr[bi, region, module] = np.where(
-                    miss, clock, metric_arr[bi, region, module]
-                )
-            over = miss & (resident[bi, region].sum(axis=1) > slots)
-            if over.any():
-                ob, orr = bi[over], region[over]
-                victim = _evict(
-                    resident, metric_arr, rank_arr, ob, orr, module[over], counters,
-                    largest=eviction == "belady",
-                )
-                if eviction == "lru":
-                    # LRU forgets evicted recency (get(..., 0) after pop)
-                    metric_arr[ob, orr, victim] = 0
+            evicted = area.insert(
+                cell, entry, miss, counters,
+                stamp=eviction is None, largest=eviction == "belady",
+            )
+            if evicted is not None and eviction == "lru":
+                # LRU forgets evicted recency (get(..., 0) after pop)
+                area.metric[evicted] = 0
     return counters, t
 
 
@@ -341,11 +362,11 @@ def _vector_onselect(
     n_regions, n_modules = load_arr.shape
     counters = np.zeros((_N_COUNTERS, n_boards), dtype=np.int64)
     t = np.zeros(n_boards, dtype=np.int64)
-    loaded = np.zeros((n_boards, n_regions), dtype=np.int64)
-    bi = np.arange(n_boards)
+    loaded = np.zeros(n_boards * n_regions, dtype=np.int64)
+    row = np.arange(n_boards) * n_regions
     multi = slots > 1
     if multi:
-        resident, inserted, clock = _fifo_cube(n_boards, n_regions, n_modules)
+        area = _Area(n_boards, rank_arr, slots)
     if recorder is not None:
         recorder.mode = "onselect"
         recorder.port_offset_ns = 0  # recorded loads are pure transfers
@@ -353,11 +374,13 @@ def _vector_onselect(
         gap = gaps[:, step]
         region = regs[:, step]
         module = mods[:, step]
+        cell = row + region
         t_req = t + gap
         counters[_I_DEMAND_REQUESTS] += 1
-        same = loaded[bi, region] == module
+        same = loaded[cell] == module
         if multi:
-            res_hit = resident[bi, region, module] & ~same
+            entry = cell * n_modules + module
+            res_hit = area.held[entry] & ~same
             fetch = ~(same | res_hit)
             counters[_I_RESIDENT] += res_hit
         else:
@@ -376,19 +399,9 @@ def _vector_onselect(
             # ``load`` through the port, landing at ``spec_end``
             recorder.record_step(t_req, spec_end, early, fetch, load)
         t = np.where(early, spec_end, t_req)
-        loaded[bi, region] = module
+        loaded[cell] = module
         if multi:
-            resident[bi, region, module] = True
-            clock = clock + fetch
-            inserted[bi, region, module] = np.where(
-                fetch, clock, inserted[bi, region, module]
-            )
-            over = fetch & (resident[bi, region].sum(axis=1) > slots)
-            if over.any():
-                _evict(
-                    resident, inserted, rank_arr, bi[over], region[over],
-                    module[over], counters,
-                )
+            area.insert(cell, entry, fetch, counters)
     return counters, t
 
 
@@ -487,64 +500,133 @@ def _vector_speculate(
     mods: np.ndarray,
     *,
     predictor,
+    slots: int,
     load_arr: np.ndarray,
+    rank_arr: np.ndarray,
     latency_ns: int,
     recorder=None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """history / confidence / markov at one slot: idle-time speculation.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """history / confidence / markov at any ``region_slots``: idle-time
+    speculation.
 
     After each demand completes, its region speculates on the predicted
-    successor: a load starting at the completion.  A region holds at most
-    one such flight; landings are applied when the region is next touched.
-    A demand for ``m`` at ``t_req`` is then one of:
+    successor (unless it is active or resident): a load starting at the
+    completion.  A region holds one such flight, applied when the region
+    is next touched.  While the flight is in its request latency the
+    manager sees no load in progress.  A demand for ``m`` at ``t_req`` is
+    then one of:
 
-    - **instant hit**: the active (or landed) module is ``m``; speculate
-      now;
+    - **hit**: no load in progress and ``m`` active (instant hit) or
+      resident (multi-slot context switch); speculate now;
     - **join**: the flight carries ``m`` and its latency is over; complete
       at its landing, with no speculation after;
     - **idle miss**: a demand load starting at ``t_req``;
-    - **behind a speculation**: the flight lands, then the demand completes
-      (``m`` is the flight's module) or loads from the landing time.  A
-      demand for the still-active module during the flight's latency is an
-      instant hit instead.
+    - **behind a speculation**: the flight lands (a multi-slot landing
+      evicts FIFO), then the demand completes (``m`` is the flight's
+      module), switches to ``m`` if it is still resident, or loads from
+      the landing time.
+
+    **Queued speculation.**  A hit inside a flight's latency queues its
+    speculation behind the flight; it may name the flight's own module, a
+    no-op when picked.  It starts at the landing and takes the port in
+    start order, so it starts, in landing order, before any later job
+    start on the board.  A join hands the port to it; a demand behind the
+    flight cancels it, except that one for the queued module (not the
+    flight's) would need a deeper queue.  An unclaimed speculation that is
+    overwritten (one slot) or evicted is wasted.
 
     **Latency-end tie** (``t_req == start + L`` in the demanded region):
     the latency end fires first, so the demand sees the flight loading,
-    unless the flight started at the previous completion through a wake (a
-    speculation after an instant hit into an idle region); then the demand
-    comes first and still sees it in its latency.
+    unless the flight started after the driver resumed, or at that instant
+    through a wake (a speculation after a hit into an idle region); then
+    the demand comes first and still sees it in its latency.
 
-    Returns counters, end times, and two board masks: ``queued`` — an
-    instant hit inside a flight's latency queued a second speculation, so
-    the board must run on the chronological loop — and ``tied`` — a
-    transfer end fell on a request instant, or a gap was zero, so the board
-    must replay on the kernel.
+    Returns counters, end times and ``tied``: the boards that must replay
+    on the kernel — a transfer end fell on a request instant, a gap was
+    zero, or a region needed a deeper queue.
     """
     n_boards, steps = gaps.shape
-    n_regions = load_arr.shape[0]
+    n_regions, n_modules = load_arr.shape
     latency = latency_ns
+    multi = slots > 1
+    area = _Area(n_boards, rank_arr, slots) if multi else None
     counters = np.zeros((_N_COUNTERS, n_boards), dtype=np.int64)
-    row = np.arange(n_boards) * n_regions
+    bi = np.arange(n_boards)
+    row = bi * n_regions
     t = np.zeros(n_boards, dtype=np.int64)
     port_free = np.zeros(n_boards, dtype=np.int64)
     # per-(board, region) state, flattened: cell = board * regions + region
     cells = n_boards * n_regions
     loaded = np.zeros(cells, dtype=np.int64)
-    unclaimed = np.zeros(cells, dtype=bool)
+    #: the landed speculation no demand has claimed yet (-1: none)
+    unclaimed = np.full(cells, -1, dtype=np.int64)
     last_demand = np.full(cells, -1, dtype=np.int64)
     #: the region's speculation in flight: module (-1: none), start, end
     #: (-1: none, so no request instant can equal it), and whether it
-    #: started through a wake
+    #: started through a wake; its landing is not yet applied
     flight = np.full(cells, -1, dtype=np.int64)
     flight_start = np.zeros(cells, dtype=np.int64)
     flight_end = np.full(cells, -1, dtype=np.int64)
     flight_wake = np.zeros(cells, dtype=bool)
     region_ends = [flight_end[r::n_regions] for r in range(n_regions)]
-    queued = np.zeros(n_boards, dtype=bool)
+    #: the speculation queued behind the flight (-1: none), and per board
+    #: a lower bound on the earliest landing with one behind it
+    queued = np.full(cells, -1, dtype=np.int64)
+    queue_at = np.full(n_boards, _NEVER, dtype=np.int64)
     tied = np.zeros(n_boards, dtype=bool)
     if recorder is not None:
         recorder.mode = "speculate"
         recorder.port_offset_ns = 0
+
+    def land(mask, cell, module, claimed):
+        """Apply the landing of ``module`` in ``cell`` where ``mask``;
+        ``claimed`` (a demand load, a joined flight) leaves it unmarked."""
+        if multi:
+            # a masked-out -1 must still index its own cell's row
+            entry = cell * n_modules + np.maximum(module, 0)
+            evicted = area.insert(cell, entry, mask, counters)
+            if evicted is not None:
+                over, victim = evicted
+                lost = unclaimed[over] == victim
+                counters[_I_WASTED, over // n_regions] += lost
+                unclaimed[over] = np.where(lost, -1, unclaimed[over])
+            kept = unclaimed[cell]
+        else:
+            counters[_I_WASTED] += mask & (unclaimed[cell] >= 0)
+            kept = -1
+        loaded[cell] = np.where(mask, module, loaded[cell])
+        unclaimed[cell] = np.where(mask, np.where(claimed, kept, module), unclaimed[cell])
+
+    def start_queued(limit):
+        """Start every queued speculation whose flight lands before
+        ``limit``, in landing order."""
+        while True:
+            ready = queue_at < limit
+            if not ready.any():
+                return
+            waiting = np.where(queued >= 0, flight_end, _NEVER).reshape(n_boards, n_regions)
+            region = waiting.argmin(axis=1)
+            cell = row + region
+            end = flight_end[cell]
+            target = queued[cell]
+            go = ready & (target >= 0) & (end < limit)
+            spec = flight[cell]
+            land(go, cell, spec, False)
+            start = go & (target != spec)
+            load = load_arr[region, np.maximum(target, 0)]
+            spec_end = np.maximum(end + latency, port_free) + load
+            np.copyto(port_free, spec_end, where=start)
+            counters[_I_PREFETCH_LOADS] += start
+            flight[cell] = np.where(go, np.where(start, target, -1), spec)
+            flight_start[cell] = np.where(start, end, flight_start[cell])
+            flight_end[cell] = np.where(go, np.where(start, spec_end, -1), end)
+            flight_wake[cell] &= ~go
+            queued[cell] = np.where(go, -1, target)
+            waiting = np.where(queued >= 0, flight_end, _NEVER)
+            queue_at[:] = waiting.reshape(n_boards, n_regions).min(axis=1)
+            if recorder is not None:
+                recorder.record_port(start, spec_end, load)
+
     for step in range(steps):
         gap = gaps[:, step]
         region = regs[:, step]
@@ -552,6 +634,7 @@ def _vector_speculate(
         cell = row + region
         t_prev = t
         t_req = t + gap
+        start_queued(t_req)
         tied |= gap == 0
         for ends in region_ends:
             tied |= ends == t_req
@@ -559,342 +642,109 @@ def _vector_speculate(
         start = flight_start[cell]
         end = flight_end[cell]
         landed = (spec >= 0) & (end < t_req)
+        if multi:
+            land(landed, cell, spec, False)
+            current, uncl = loaded[cell], unclaimed[cell]
+        else:
+            # one slot applies landings in closed form: see the waste below
+            chained = unclaimed[cell] >= 0
+            current = np.where(landed, spec, loaded[cell])
+            uncl = np.where(landed, spec, unclaimed[cell])
         active = (spec >= 0) & ~landed
-        current = np.where(landed, spec, loaded[cell])
-        uncl = unclaimed[cell] | landed
         lat_end = start + latency
-        in_latency = active & (
-            (t_req < lat_end)
-            | ((t_req == lat_end) & (start == t_prev) & flight_wake[cell])
+        loading = active & (
+            (t_req > lat_end)
+            | ((t_req == lat_end) & ((start < t_prev) | ((start == t_prev) & ~flight_wake[cell])))
         )
         same = current == module
-        idle_hit = ~active & same
-        idle_miss = ~active & ~same
-        join = active & ~in_latency & (spec == module)
-        latency_hit = in_latency & same
-        behind_same = in_latency & (spec == module)
-        reload = idle_miss | (active & ~(join | latency_hit | behind_same))
+        if multi:
+            entry = cell * n_modules + module
+            fits = area.held[entry]
+        else:
+            fits = same
+        hit = ~loading & fits
+        join = loading & (spec == module)
+        behind = active & ~(hit | join)
+        idle_miss = ~active & ~fits
+        queue = queued[cell]
+        # a demand behind the flight cancels a queued speculation for
+        # another module; one for its own module needs a queue two jobs
+        # deep, unless the speculation names the flight's module (a no-op)
+        tied |= behind & (queue == module) & (queue != spec)
+        queued[cell] = np.where(behind, -1, queue)
         # the demand: observe first, predictions below see this transition
         prev = last_demand[cell]
         last_demand[cell] = module
         predictor.observe(prev, module)
         counters[_I_DEMAND_REQUESTS] += 1
-        hit = idle_hit | latency_hit
-        counters[_I_INSTANT] += hit
-        counters[_I_USEFUL] += (idle_hit & uncl) | join | behind_same
-        counters[_I_WASTED] += (idle_miss & uncl) | (reload & active)
-        counters[_I_DEMAND_LOADS] += reload
+        claim = hit & (uncl == module)
+        follow = behind & (spec == module)
+        if multi:
+            # a join claims the flight before it lands; a demand behind it waits
+            unclaimed[cell] = np.where(join, -1, uncl)
+            land(join | behind, cell, spec, join)
+            switch = behind & ~follow & area.held[entry]
+            counters[_I_RESIDENT] += (hit & ~same) | switch
+        else:
+            switch = False
+        reload = idle_miss | (behind & ~(follow | switch))
+        load_start = np.where(idle_miss, t_req, end)
+        start_queued(np.where(reload, load_start, t_req))
         load = load_arr[region, module]
-        load_end = np.maximum(np.where(idle_miss, t_req, end) + latency, port_free) + load
-        port_free = np.where(reload, load_end, port_free)
-        done = np.where(reload, load_end, np.where(join | behind_same, end, t_req))
+        load_end = np.maximum(load_start + latency, port_free) + load
+        np.copyto(port_free, load_end, where=reload)
+        if multi:
+            land(reload, cell, module, True)
+            unclaimed[cell] = np.where(claim | follow, -1, unclaimed[cell])
+        else:
+            # every one-slot landing overwrites the active module, wasting
+            # it while unclaimed: a chained speculation's predecessor (under
+            # a landed flight or the one a demand waits behind), the idle
+            # module under a demand load, the flight under a reload
+            counters[_I_WASTED] += (landed | behind) & chained
+            counters[_I_WASTED] += (idle_miss & (uncl >= 0)) | (reload & behind)
+            unclaimed[cell] = -1
+        done = np.where(reload, load_end, np.where(hit, t_req, end))
         stall = done - t_req
+        counters[_I_INSTANT] += hit & same
+        counters[_I_USEFUL] += claim | join | follow
+        counters[_I_DEMAND_LOADS] += reload
         counters[_I_STALL] += stall
         loaded[cell] = module
-        unclaimed[cell] = False
-        # speculation at the completion (a latency hit keeps its flight)
+        # speculation at the completion; a hit inside the flight's latency
+        # keeps the flight and queues it, a join resumes the queued one
         target = predictor.predict(module)
         want = (target >= 0) & (target != module)
-        queued |= latency_hit & want
-        go = want & ~(join | latency_hit)
-        spec_load = load_arr[region, np.maximum(target, 0)]
+        if multi:
+            want &= ~area.held[cell * n_modules + np.maximum(target, 0)]
+        kept = hit & active
+        resume = join & (queue >= 0) & (queue != module)
+        go = (want & ~(join | kept)) | resume
+        new_queue = want & kept & (queue < 0)
+        start_queued(done)
+        nxt = np.where(join, queue, target)
+        spec_load = load_arr[region, np.maximum(nxt, 0)]
         spec_end = np.maximum(done + latency, port_free) + spec_load
-        port_free = np.where(go, spec_end, port_free)
-        flight[cell] = np.where(go, target, np.where(latency_hit, spec, -1))
-        flight_start[cell] = np.where(go, done, start)
-        flight_end[cell] = np.where(go, spec_end, np.where(latency_hit, end, -1))
-        # a kept flight started before t_req, so its wake flag is moot
-        flight_wake[cell] = idle_hit
+        np.copyto(port_free, spec_end, where=go)
         counters[_I_PREFETCH_LOADS] += go
+        flight[cell] = np.where(go, nxt, np.where(kept, spec, -1))
+        flight_start[cell] = np.where(go, done, start)
+        flight_end[cell] = np.where(go, spec_end, np.where(kept, end, -1))
+        # a kept flight started before t_req, so its wake flag is moot
+        flight_wake[cell] = hit & ~active
+        queued[cell] = np.where(new_queue, target, np.where(kept, queue, -1))
+        np.minimum(queue_at, np.where(new_queue, end, _NEVER), out=queue_at)
         if recorder is not None:
             recorder.record_step(
-                t_req, stall, hit, reload, load_end, load, go, spec_end, spec_load
+                t_req, stall, hit | switch, reload, load_end, load, go, spec_end, spec_load
             )
         t = done
-    return counters, np.maximum(t, port_free), queued, tied
-
-
-# ---------------------------------------------------------------------------
-# the chronological job loop
-# ---------------------------------------------------------------------------
-
-
-class _Job:
-    __slots__ = ("module", "demand", "cancelled", "called_at", "joined",
-                 "unclaimed", "start", "end", "wake")
-
-    def __init__(self, module: str, demand: bool, called_at: int = 0):
-        self.module = module
-        self.demand = demand
-        self.cancelled = False
-        self.called_at = called_at
-        self.joined = False
-        #: speculative and not yet claimed by a demand
-        self.unclaimed = not demand
-        self.start = self.end = 0
-        self.wake = False
-
-
-class _Region:
-    __slots__ = ("name", "modules", "loaded", "history", "resident", "unclaimed",
-                 "last_demand", "job", "queue")
-
-    def __init__(self, name: str, modules: Sequence[str]):
-        self.name = name
-        self.modules = frozenset(modules)
-        self.loaded: Optional[str] = None
-        self.history: list[str] = []
-        self.resident: dict[str, None] = {}
-        self.unclaimed: Optional[str] = None
-        self.last_demand: Optional[str] = None
-        #: the job past the mailbox (latency, port wait or transfer)
-        self.job: Optional[_Job] = None
-        self.queue: deque[_Job] = deque()
-
-
-def _earliest(flights: list[_Region]) -> _Region:
-    """The region whose job lands first (transfer ends never coincide)."""
-    if len(flights) == 1:
-        return flights[0]
-    return min(flights, key=lambda region: region.job.end)
-
-
-class _ChronoBoard:
-    """One board's jobs in chronological order, without an event heap.
-
-    Mirrors :class:`~repro.reconfig.manager.ReconfigurationManager` step
-    for step with the real policy objects, but a job's landing time is
-    computed when it starts (see the module docstring), so the only events
-    are the driver's requests and the landings, taken earliest first.
-    """
-
-    def __init__(
-        self,
-        runtime_policy: RuntimePolicy,
-        region_map: dict[str, list[str]],
-        latency_ns: int,
-        load_ns: dict[tuple[str, str], int],
-        sink=None,
-    ):
-        self.policy = runtime_policy.prefetch
-        self.eviction = runtime_policy.eviction
-        self.observe = getattr(self.policy, "observe", None)
-        self.slots = runtime_policy.region_slots
-        self.multi = self.slots > 1
-        self.latency_ns = latency_ns
-        self.load_ns = load_ns
-        self.counters = [0] * _N_COUNTERS
-        #: end of the last started job; every job lands, so the last event
-        self.port_free = 0
-        #: regions with a job past the mailbox, i.e. a landing pending
-        self.flights: list[_Region] = []
-        #: completion time of the demand the driver waits on
-        self.done_at: Optional[int] = None
-        self.demands = sink.scalar_demands if sink is not None else None
-        self.port = sink.scalar_port if sink is not None else None
-        self.regions: dict[str, _Region] = {}
-        for name, modules in region_map.items():
-            region = _Region(name, modules)
-            # preload: the first module ships in the startup bitstream
-            region.loaded = modules[0]
-            region.history.append(modules[0])
-            if self.multi:
-                region.resident[modules[0]] = None
-                if self.eviction is not None:
-                    self.eviction.on_insert(name, modules[0])
-            self.regions[name] = region
-
-    def run(self, schedule: Sequence[tuple[int, str, str]]) -> Optional[tuple[list[int], int]]:
-        """Counters and end time, or None when an event tie needs the kernel."""
-        t = 0
-        latency = self.latency_ns
-        for gap, name, module in schedule:
-            region = self.regions[name]
-            target = self.policy.on_select(name, module)
-            if target is not None:
-                job = region.job
-                # a latency end due now fired before the driver resumed
-                loading = job.module if job is not None and job.start + latency <= t else None
-                if (
-                    target != region.loaded
-                    and target != loading
-                    and not (self.multi and target in region.resident)
-                    and target in region.modules
-                ):
-                    self._post(region, _Job(target, demand=False), t, wake=True)
-            if gap == 0:
-                return None
-            t_req = t + gap
-            flights = self.flights
-            while flights:
-                landing = _earliest(flights)
-                if landing.job.end >= t_req:
-                    if landing.job.end == t_req:
-                        return None
-                    break
-                self._land(landing)
-            self.done_at = None
-            self._demand(region, module, t_req, t)
-            while self.done_at is None:
-                self._land(_earliest(flights))
-            t = self.done_at
-        while self.flights:
-            self._land(_earliest(self.flights))
-        return self.counters, max(t, self.port_free)
-
-    # -- jobs --------------------------------------------------------------
-
-    def _start(self, region: _Region, job: _Job, now: int, wake: bool) -> None:
-        load = self.load_ns[(region.name, job.module)]
-        job.start = now
-        job.wake = wake
-        ready = now + self.latency_ns
-        job.end = (ready if ready > self.port_free else self.port_free) + load
-        self.port_free = job.end
-        region.job = job
-        self.flights.append(region)
-        if self.port is not None:
-            self.port.append((job.end, load))
-
-    def _post(self, region: _Region, job: _Job, now: int, wake: bool) -> None:
-        """Mailbox post: an idle region process starts the job at once."""
-        if region.job is None and not region.queue:
-            self._start(region, job, now, wake)
-        else:
-            region.queue.append(job)
-
-    def _complete(self, called_at: int, now: int, hit: bool) -> None:
-        self.counters[_I_STALL] += now - called_at
-        if self.demands is not None:
-            self.demands.append((called_at, now - called_at, hit))
-        self.done_at = now
-
-    # -- the manager's three entry points -----------------------------------
-
-    def _demand(self, region: _Region, module: str, t_req: int, t_prev: int) -> None:
-        """``ensure_loaded`` at ``t_req``; the driver resumed at ``t_prev``."""
-        counters = self.counters
-        counters[_I_DEMAND_REQUESTS] += 1
-        if self.observe is not None:
-            self.observe(region.last_demand, module)
-        if self.eviction is not None:
-            self.eviction.on_demand(region.name, module)
-        region.last_demand = module
-        job = region.job
-        loading = None
-        if job is not None:
-            lat_end = job.start + self.latency_ns
-            if t_req > lat_end or (t_req == lat_end and (
-                job.start < t_prev or (job.start == t_prev and not job.wake)
-            )):
-                loading = job.module
-        if loading is None and (
-            region.loaded == module or (self.multi and module in region.resident)
-        ):
-            if region.unclaimed == module:
-                counters[_I_USEFUL] += 1
-                region.unclaimed = None
-            if region.loaded == module:
-                counters[_I_INSTANT] += 1
-            else:
-                counters[_I_RESIDENT] += 1
-                self._activate(region, module)
-            self._complete(t_req, t_req, True)
-            if not region.queue:
-                self._speculate(region, t_req, loading, wake=True)
-            return
-        if loading == module:
-            # join the flight; useful only while still unclaimed
-            region.unclaimed = None
-            if job.unclaimed:
-                counters[_I_USEFUL] += 1
-                job.unclaimed = False
-            job.joined = True
-            job.called_at = t_req
-            return
-        for pending in region.queue:
-            if not pending.demand and pending.module != module:
-                pending.cancelled = True
-        self._post(region, _Job(module, demand=True, called_at=t_req), t_req, wake=True)
-
-    def _speculate(self, region: _Region, now: int, loading: Optional[str], wake: bool) -> None:
-        target = self.policy.on_idle(region.name, region.loaded, region.history)
-        if target and target not in (region.loaded, loading) and target in region.modules:
-            if self.multi and target in region.resident:
-                return
-            self._post(region, _Job(target, demand=False), now, wake)
-
-    def _land(self, region: _Region) -> None:
-        """The region process after a transfer, then its next queued jobs."""
-        counters = self.counters
-        job = region.job
-        now = job.end
-        previous = region.loaded
-        if not self.multi and region.unclaimed is not None and region.unclaimed == previous:
-            counters[_I_WASTED] += 1
-            region.unclaimed = None
-        region.job = None
-        self.flights.remove(region)
-        region.loaded = job.module
-        region.history.append(job.module)
-        if self.multi:
-            region.resident[job.module] = None
-            if self.eviction is not None:
-                self.eviction.on_insert(region.name, job.module)
-            if len(region.resident) > self.slots:
-                self._evict_overflow(region, keep=job.module)
-        if job.demand:
-            counters[_I_DEMAND_LOADS] += 1
-        else:
-            counters[_I_PREFETCH_LOADS] += 1
-            if job.unclaimed:
-                region.unclaimed = job.module
-        if job.demand or job.joined:
-            self._complete(job.called_at, now, False)
-        if job.demand and not region.queue:
-            self._speculate(region, now, None, wake=False)
-        self._pick(region, now)
-
-    def _pick(self, region: _Region, now: int) -> None:
-        """Consume queued jobs until one needs a load (or the queue drains)."""
-        counters = self.counters
-        while region.queue and region.job is None:
-            job = region.queue.popleft()
-            resident = self.multi and job.module in region.resident
-            if job.cancelled or job.module == region.loaded or resident:
-                if job.demand:
-                    if region.unclaimed == job.module:
-                        counters[_I_USEFUL] += 1
-                        region.unclaimed = None
-                    hit = job.module != region.loaded  # demands are never cancelled
-                    if hit:
-                        counters[_I_RESIDENT] += 1
-                        self._activate(region, job.module)
-                    self._complete(job.called_at, now, hit)
-                    if not region.queue:
-                        self._speculate(region, now, None, wake=False)
-                continue
-            self._start(region, job, now, wake=False)
-
-    def _activate(self, region: _Region, module: str) -> None:
-        region.loaded = module
-        region.history.append(module)
-
-    def _evict_overflow(self, region: _Region, keep: str) -> None:
-        while len(region.resident) > self.slots:
-            candidates = [m for m in region.resident if m != keep]
-            if not candidates:
-                return
-            if self.eviction is not None:
-                victim = self.eviction.choose_victim(region.name, candidates)
-                self.eviction.on_evict(region.name, victim)
-            else:
-                victim = candidates[0]
-            del region.resident[victim]
-            self.counters[_I_EVICTIONS] += 1
-            if region.unclaimed == victim:
-                self.counters[_I_WASTED] += 1
-                region.unclaimed = None
+    # every flight lands, and every queued speculation behind one starts
+    start_queued(_NEVER)
+    for r in range(n_regions):
+        spec = flight[row + r]
+        land(spec >= 0, row + r, spec, False)
+    return counters, np.maximum(t, port_free), tied
 
 
 # ---------------------------------------------------------------------------
@@ -907,19 +757,11 @@ Replay = Callable[[int, object], tuple[dict, int]]
 
 
 class _Events:
-    """One board's telemetry events, kept apart until the board succeeds."""
+    """One board's telemetry events from its kernel replay."""
 
     def __init__(self):
         self.scalar_demands: list[tuple] = []
         self.scalar_port: list[tuple] = []
-
-
-def _merge(recorder, index: int, events: Optional[_Events]) -> None:
-    """Add a board's events to the recorder, labelling its port transfers."""
-    if recorder is not None:
-        recorder.scalar_demands.extend(events.scalar_demands)
-        recorder.scalar_port.extend(events.scalar_port)
-        recorder.scalar_port_boards.extend([index] * len(events.scalar_port))
 
 
 def simulate_fast_fleet(
@@ -933,18 +775,19 @@ def simulate_fast_fleet(
 
     ``schedules`` is the fleet's array set, in ``config.region_map()``
     order: the cores step through its ``(boards, requests)`` arrays as they
-    are, and the chronological loop decodes one board at a time.
+    are.
 
     Returns per-board stats dicts (``ManagerStats.to_dict()`` form, in
     schedule order), per-board end times (the last event on each board),
-    and the engine's execution stats.  Boards with an event tie go to
-    ``replay`` (the fleet driver's kernel replay).
+    and the engine's execution stats.  Boards the core marks tied — and
+    every board of a ``kernel`` bundle — go to ``replay`` (the fleet
+    driver's kernel replay).
 
     ``recorder`` (a :class:`repro.runtime.fleet.FleetTelemetryRecorder`)
     collects windowed telemetry as per-step array references on the cores
-    and per-event tuples on the chronological loop and kernel replays; all
-    aggregation is deferred to the recorder's flush, so the simulated
-    outcome is bit-identical with or without it.
+    and per-event tuples on kernel replays; all aggregation is deferred to
+    the recorder's flush, so the simulated outcome is bit-identical with or
+    without it.
     """
     bundle = get_bundle(config.policy)
     region_map = config.region_map()
@@ -962,27 +805,25 @@ def simulate_fast_fleet(
             load_arr[r, i] = load_ns[(name, module)]
             rank_arr[r, i] = sorted(modules).index(module)
     gaps, regs, mods = schedules.gaps, schedules.regions, schedules.modules
-    loop = np.zeros(n_boards, dtype=bool)
     tied = np.zeros(n_boards, dtype=bool)
-    if mode == "chrono" or not n_boards:
+    if mode == "kernel" or not n_boards:
         counters = np.zeros((_N_COUNTERS, n_boards), dtype=np.int64)
         ends = np.zeros(n_boards, dtype=np.int64)
-        loop[:] = True
+        tied[:] = True
     elif mode.startswith("onselect"):
         counters, ends = _vector_onselect(
             gaps, regs, mods, slots=slots, load_arr=load_arr, rank_arr=rank_arr,
             latency_ns=latency_ns, recorder=recorder,
         )
-    elif mode == "speculate":
+    elif mode.startswith("speculate"):
         # the predictors key their tables by module name, shared by regions
         assert all(modules == module_lists[0] for modules in module_lists)
         policy = bundle.prefetch_factory()
         predictor = _PREDICTORS[type(policy)](n_boards, rank_arr[0], policy.min_confidence)
-        counters, ends, loop, tied = _vector_speculate(
-            gaps, regs, mods, predictor=predictor, load_arr=load_arr,
-            latency_ns=latency_ns, recorder=recorder,
+        counters, ends, tied = _vector_speculate(
+            gaps, regs, mods, predictor=predictor, slots=slots, load_arr=load_arr,
+            rank_arr=rank_arr, latency_ns=latency_ns, recorder=recorder,
         )
-        loop &= ~tied
     else:
         counters, ends = _vector_noprefetch(
             gaps, regs, mods,
@@ -995,35 +836,22 @@ def simulate_fast_fleet(
         )
     rows = [ManagerStats.from_counters(row).to_dict() for row in counters.T]
     end_times = [int(e) for e in ends]
-    for index in np.flatnonzero(loop).tolist():
-        schedule = schedules[index]
-        future = future_from_schedule(schedule) if bundle.needs_future else None
-        runtime_policy = create_policy(
-            config.policy, future=future, region_slots=config.region_slots
-        )
-        events = _Events() if recorder is not None else None
-        board = _ChronoBoard(runtime_policy, region_map, latency_ns, load_ns, sink=events)
-        outcome = board.run(schedule)
-        if outcome is None:
-            tied[index] = True
-            continue
-        rows[index] = ManagerStats.from_counters(outcome[0]).to_dict()
-        end_times[index] = outcome[1]
-        _merge(recorder, index, events)
     for index in np.flatnonzero(tied).tolist():
         if replay is None:
             raise ValueError(f"board {index} needs a kernel replay; pass replay=")
         events = _Events() if recorder is not None else None
         rows[index], end_times[index] = replay(index, events)
-        _merge(recorder, index, events)
+        if recorder is not None:
+            recorder.scalar_demands.extend(events.scalar_demands)
+            recorder.scalar_port.extend(events.scalar_port)
+            recorder.scalar_port_boards.extend([index] * len(events.scalar_port))
     if recorder is not None:
         # these boards' events came per event; drop their step arrays
-        recorder.skip_boards = loop | tied
+        recorder.skip_boards = tied
     stats = FastRunStats(
         mode=f"vector:{mode}",
         vector_boards=n_boards - int(tied.sum()),
         scalar_boards=int(tied.sum()),
-        vector_steps=0 if mode == "chrono" else int(gaps.shape[1]),
-        loop_boards=int((loop & ~tied).sum()),
+        vector_steps=0 if mode == "kernel" else int(gaps.shape[1]),
     )
     return rows, end_times, stats

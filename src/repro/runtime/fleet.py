@@ -14,20 +14,19 @@ Two engines produce that outcome:
   discrete events.  Required for tracing and for any future cross-board
   coupling (shared backhaul, fleet-wide admission control).
 - ``engine="fast"`` (default) — :mod:`repro.runtime.fast` replays the same
-  schedules against one array engine (a core per policy bundle, plus a
-  chronological job loop), reproducing per-board counters and
-  ``end_time_ns`` exactly: ``FleetReport.digest()`` is identical across
-  engines.  It computes counters and telemetry for every board; the rare
-  board whose request meets an event tie replays on the kernel, and with
-  ``trace_boards > 0`` the first boards additionally replay on a kernel
-  subset that only produces their trace lanes.
+  schedules against one array engine (a core per policy bundle and slot
+  count), reproducing per-board counters and ``end_time_ns`` exactly:
+  ``FleetReport.digest()`` is identical across engines.  It computes
+  counters and telemetry for every board; the rare board the arrays
+  cannot hold (an event tie, a queue two jobs deep) replays on the
+  kernel, and with ``trace_boards > 0`` the first boards additionally
+  replay on a kernel subset that only produces their trace lanes.
 
 Schedules are born as a :class:`~repro.runtime.traffic.ScheduleSet` (three
 ``(boards, requests)`` int arrays), generated for all boards in lockstep.
-The fast engine's cores read those arrays directly; kernel boards and
-the chronological loop read the decoded per-board tuple view.  A caller's own
-tuple lists are packed into a set once, with validation, at the
-:func:`run_fleet` boundary.
+The fast engine's cores read those arrays directly; kernel boards read
+the decoded per-board tuple view.  A caller's own tuple lists are packed
+into a set once, with validation, at the :func:`run_fleet` boundary.
 
 ``run_frontier`` replays the *same* seeded traffic against several policy
 bundles — schedules are generated once and shared across policies, since
@@ -146,9 +145,9 @@ class FleetReport:
     traces: list[Trace] = field(default_factory=list)
     #: which engine produced this report ("kernel" or "fast")
     engine: str = "kernel"
-    #: fast-engine execution stats (core, loop and kernel-replay board
-    #: counts); None for kernel runs.  Excluded from the digest: it
-    #: describes *how* the outcome was computed, not the outcome.
+    #: fast-engine execution stats (core and kernel-replay board counts);
+    #: None for kernel runs.  Excluded from the digest: it describes *how*
+    #: the outcome was computed, not the outcome.
     engine_stats: Optional[FastRunStats] = None
 
     @property
@@ -215,9 +214,10 @@ class FleetTelemetryRecorder:
     kernel's per-event sink.
 
     The vector cores hand over *references* to arrays they compute anyway
-    each step (no derived arrays are built in the step loop).  The kernel
-    manager (``engine="kernel"`` and tie replays) and the fast engine's
-    chronological loop append plain tuples to :attr:`scalar_demands` and
+    each step (no derived arrays are built in the step loop), plus a port
+    batch whenever the speculate core starts queued speculations between
+    steps.  The kernel manager (``engine="kernel"`` and kernel replays)
+    appends plain tuples to :attr:`scalar_demands` and
     :attr:`scalar_port`.  :meth:`flush` then hands lazy batch closures to a
     :class:`~repro.obs.telemetry.TimeSeriesStore`'s write-behind buffer, so
     all concatenation and windowed aggregation runs at the store's first
@@ -255,6 +255,10 @@ class FleetTelemetryRecorder:
         #: subtracted from recorded durations (the no-prefetch core hands
         #: over ``latency + transfer`` durations it computed anyway)
         self.port_offset_ns: int = 0
+        #: port transfers a core starts between its steps (a queued
+        #: speculation at its region's landing): ``(mask, end, duration)``
+        #: board-indexed arrays, captured by reference like the steps
+        self._ports: list[tuple] = []
         #: per-event demand completions: (t_req, stall_ns, hit)
         self.scalar_demands: list[tuple] = []
         #: per-event port transfers: (end_ns, duration_ns)
@@ -274,6 +278,9 @@ class FleetTelemetryRecorder:
             del steps[-self._n_small:]
             steps.append(tuple(np.concatenate(cols) for cols in zip(*tail)))
             self._n_small = 0
+
+    def record_port(self, mask, end, duration) -> None:
+        self._ports.append((mask, end, duration))
 
     @staticmethod
     def _step_events(mode: str, offset: int, cols: list[np.ndarray]):
@@ -304,6 +311,7 @@ class FleetTelemetryRecorder:
         sharing one memoized materialization across all five series.
         """
         steps, self._steps = self._steps, []
+        port_batches, self._ports = self._ports, []
         self._n_small = 0
         scalar_demands, self.scalar_demands = self.scalar_demands, []
         scalar_port, self.scalar_port = self.scalar_port, []
@@ -338,6 +346,12 @@ class FleetTelemetryRecorder:
                     parts_board.append(board[mask])
                     parts_end.append(end[mask])
                     parts_dur.append(duration[mask])
+            for mask, end, duration in port_batches:
+                board = np.arange(len(mask))
+                mask = mask & ~skip if skip is not None else mask
+                parts_board.append(board[mask])
+                parts_end.append(end[mask])
+                parts_dur.append(duration[mask])
             if scalar_demands:
                 events = np.asarray(scalar_demands, dtype=np.int64)
                 parts_t.append(events[:, 0])
@@ -360,7 +374,7 @@ class FleetTelemetryRecorder:
                 end, duration = _cat(parts_end), _cat(parts_dur)
                 # board by board, in time order: the summation order of the
                 # float port_util contributions (the shared kernel labels no
-                # board and keeps its own chronological order)
+                # board and keeps its own event order)
                 order = np.lexsort((end, _cat(parts_board)))
                 busy = duration[order] > 0
                 cache["port_t"] = end[order][busy]

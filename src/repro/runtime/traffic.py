@@ -12,9 +12,10 @@ A fleet's schedules are born as a :class:`ScheduleSet`: three
 step per request position, while every board still replays its own
 ``random.Random`` stream word for word — so board ``b`` of the set equals
 :func:`generate_schedule` on that board's generator.  The fast engine reads
-the arrays as they are; the kernel, the fast engine's chronological loop
-and :func:`future_from_schedule` read the decoded per-board tuple view.  The
-scalar generators behind :func:`generate_schedule` are the reference oracle.
+the arrays as they are; the kernel (kernel replays inside the fast engine
+included) and :func:`future_from_schedule` read the decoded per-board tuple
+view.  The scalar generators behind :func:`generate_schedule` are the
+reference oracle.
 
 Patterns:
 

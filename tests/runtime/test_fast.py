@@ -1,26 +1,32 @@
 """Engine parity: the batched fast path must match the kernel digest-exactly.
 
 The fast engine re-derives manager behaviour as array cores (closed forms
-per request step) plus a chronological job loop; these tests are the
-contract that keeps them honest.  The property sweep covers every policy
-bundle x traffic pattern x seed x region-slot override and asserts
-bit-identical per-board counters and end times — the same discipline the
-incremental scheduler and the batched link engine use for their reference
-paths.  The telemetry oracle holds both engines to the same windowed rows,
-and the tie-stress sweep drives request instants onto every latency and
-transfer boundary.
+per request step); these tests are the contract that keeps them honest.
+The property sweep covers every policy bundle x traffic pattern x seed x
+region-slot override and asserts bit-identical per-board counters and end
+times — the same discipline the incremental scheduler and the batched link
+engine use for their reference paths.  The telemetry oracle holds both
+engines to the same windowed rows, the tie-stress sweep drives request
+instants onto every latency and transfer boundary, hand-built schedules
+pin the speculate core's second-flight paths, and a generated differential
+test compares both engines on random small fleets.
 """
 
 import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.telemetry import TimeSeriesStore
 from repro.reconfig.manager import COUNTER_FIELDS, ManagerStats, ReconfigError
+from repro.reconfig.prefetch import HistoryPrefetchPolicy
 from repro.runtime import (
     ENGINES,
+    POLICY_REGISTRY,
     FleetConfig,
+    PolicyBundle,
     generate_fleet_schedules,
     policy_names,
     run_fleet,
@@ -28,7 +34,7 @@ from repro.runtime import (
     vector_mode,
 )
 from repro.runtime.fast import _load_table
-from repro.runtime.fleet import _architecture
+from repro.runtime.fleet import FleetTelemetryRecorder, _architecture, _run_kernel_boards
 
 ALL_POLICIES = policy_names()
 
@@ -167,11 +173,10 @@ def test_vector_mode_dispatch_table():
     assert vector_mode("history") == "speculate"
     assert vector_mode("confidence") == "speculate"
     assert vector_mode("markov") == "speculate"
-    # multi-slot overrides: on-select gets the resident block, speculation
-    # the chronological job loop
+    # multi-slot overrides: on-select and speculation get the resident block
     assert vector_mode("fixed", 2) == "onselect-fifo"
-    assert vector_mode("history", 2) == "chrono"
-    assert vector_mode("markov", 3) == "chrono"
+    assert vector_mode("history", 2) == "speculate-fifo"
+    assert vector_mode("markov", 3) == "speculate-fifo"
 
 
 def test_vectorized_policies_actually_vectorize():
@@ -402,7 +407,7 @@ def test_tie_stress_parity_on_every_boundary():
     fast engine orders them exactly like the kernel, replaying a board on
     the kernel only where no cheap rule exists."""
     rng = random.Random(20)
-    replayed = looped = 0
+    replayed = 0
     for policy in ALL_POLICIES:
         for slots in (1, 2, 3):
             for regions in (1, 2, 3):
@@ -412,25 +417,19 @@ def test_tie_stress_parity_on_every_boundary():
                 )
                 _, fast = _both_engines(config, _tie_schedules(config, rng))
                 replayed += fast.engine_stats.scalar_boards
-                looped += fast.engine_stats.loop_boards
     assert replayed > 0, "the kernel-replay path never ran"
-    assert looped > 0, "the chronological loop never ran"
 
 
 def test_benchmark_traffic_never_replays_on_the_kernel():
     """perfbench's fleet-scalar traffic (200 x 500, seeds 0-3) stays on the
-    array engine; the one-slot speculate core hands its few queued-
-    speculation boards to the chronological loop."""
+    array engine, queued speculations included."""
     for seed in range(4):
         base = FleetConfig(n_boards=200, requests_per_board=500, traffic="poisson", seed=seed)
         schedules = generate_fleet_schedules(base)
-        looped = 0
         for policy in ("history", "confidence", "markov", "belady"):
             stats = run_fleet(replace(base, policy=policy), schedules=schedules).engine_stats
             assert stats.scalar_boards == 0, (seed, policy)
             assert stats.vector_boards == 200
-            looped += stats.loop_boards
-        assert looped > 0
 
 
 def test_zero_gap_boards_replay_on_the_kernel():
@@ -440,3 +439,140 @@ def test_zero_gap_boards_replay_on_the_kernel():
     _, fast = _both_engines(config, schedules)
     assert fast.engine_stats.scalar_boards == 1
     assert fast.engine_stats.vector_boards == 2
+
+
+# -- second flights: the speculate core's queue and resident area ------------
+#
+# The default architecture's request latency is 500 ns and every transfer
+# takes X ns.  The board-wide predictor is trained on R1 first (20 ms apart, so every flight
+# lands): m1 -> m2 is the first-order favourite, and the markov pair
+# (m1, m1) -> m3.  Then R0 loads m1 at T and speculates m2 (landing at
+# e = T + 500 + X); a demand for m1 100 ns later is an instant hit inside
+# that flight's latency, and markov queues m3 behind the flight.
+
+X = 4_299_927
+MS20 = 20_000_000
+QUEUED = [(MS20, "R1", m) for m in ("m1", "m2", "m1", "m2", "m1", "m1", "m3")]
+QUEUED += [(MS20, "R0", "m1"), (100, "R0", "m1")]
+#: R0 loads m1 at T and speculates m2 (history's favourite); with two
+#: slots m0 stays resident beside m1
+AREA = [(MS20, "R1", m) for m in ("m1", "m2", "m1", "m2")] + [(MS20, "R0", "m1")]
+
+
+def _second_flight(policy: str, slots: int, schedules: list) -> tuple:
+    """Both engines agree on ``schedules``; returns the fast report and the
+    kernel's last ``(t_req, stall_ns, hit)`` demand of each board."""
+    config = FleetConfig(
+        n_boards=len(schedules), requests_per_board=len(schedules[0]),
+        policy=policy, region_slots=slots,
+    )
+    _, fast = _both_engines(config, schedules)
+    last = []
+    for schedule in schedules:
+        sink = FleetTelemetryRecorder()
+        _run_kernel_boards(
+            replace(config, n_boards=1), _architecture(config.architecture), [schedule],
+            sink=sink,
+        )
+        last.append(sink.scalar_demands[-1])
+    return fast, last
+
+
+def test_queued_speculation_takes_the_port_before_a_later_demand():
+    """R1's demand at e + 600 finds the queued m3 started at e: its load
+    waits for that transfer, stalling 2X - 100 instead of 500 + X."""
+    fast, [last] = _second_flight("markov", 1, [QUEUED + [(X + 1000, "R1", "m0")]])
+    assert fast.engine_stats.scalar_boards == 0
+    assert last[1:] == (2 * X - 100, False)
+
+
+def test_queued_speculation_is_cancelled_by_a_demand_for_another_module():
+    """R0's demand for m0 at T + 1100 cancels the queued m3, so its load
+    starts at e and stalls 2X - 100, not 3X - 100 behind m3."""
+    fast, [last] = _second_flight("markov", 1, [QUEUED + [(1000, "R0", "m0")]])
+    assert fast.engine_stats.scalar_boards == 0
+    assert last[1:] == (2 * X - 100, False)
+
+
+def test_started_queued_speculation_is_wasted_under_a_reload():
+    """R0's demand for m0 at e + 600 waits behind the started m3, which
+    lands over the unclaimed m2; the reload then overwrites the unclaimed
+    m3 — two wasted speculations in one step — and stalls 2X + 400."""
+    fast, [last] = _second_flight("markov", 1, [QUEUED + [(X + 1000, "R0", "m0")]])
+    assert fast.engine_stats.scalar_boards == 0
+    assert last[1:] == (2 * X + 400, False)
+
+
+def test_demand_behind_a_queued_speculation_for_its_module_replays():
+    """R0's demand for m3 while m3 waits behind the flight would need a
+    queue two jobs deep: only that board replays on the kernel."""
+    fast, _ = _second_flight(
+        "markov", 1, [QUEUED + [(200, "R0", "m3")], QUEUED + [(200, "R0", "m2")]]
+    )
+    assert fast.engine_stats.scalar_boards == 1
+
+
+def test_demand_behind_a_noop_queued_speculation_follows_the_flight():
+    """History's hit on m1 inside the latency queues m2, the flight's own
+    module: a no-op when picked, so R0's demand for m2 just waits for
+    the landing (X + 200) and stays on the arrays."""
+    fast, [last] = _second_flight("history", 1, [AREA + [(100, "R0", "m1"), (200, "R0", "m2")]])
+    assert fast.engine_stats.scalar_boards == 0
+    assert last[1:] == (X + 200, False)
+
+
+def test_resident_hit_inside_a_flight_latency():
+    """R0's demand for the resident m0 while m2 is in its latency is a
+    context switch: a hit with no stall."""
+    fast, [last] = _second_flight("history", 2, [AREA + [(100, "R0", "m0")]])
+    assert fast.engine_stats.scalar_boards == 0
+    assert last[1:] == (0, True)
+
+
+def test_mid_transfer_demand_for_a_resident_module_waits_for_the_landing():
+    """Mid-transfer, a resident module is no hit.  The landing of m2
+    FIFO-evicts m0 (board 0 reloads it: 2X) and keeps m1 (board 1
+    switches to it at the landing: X - 500, still a hit)."""
+    fast, last = _second_flight(
+        "history", 2, [AREA + [(1000, "R0", "m0")], AREA + [(1000, "R0", "m1")]]
+    )
+    assert fast.engine_stats.scalar_boards == 0
+    assert [event[1:] for event in last] == [(2 * X, False), (X - 500, True)]
+
+
+class _QuietHistory(HistoryPrefetchPolicy):
+    """A subclass no core may assume it understands."""
+
+
+def test_unrecognised_bundle_replays_every_board_on_the_kernel(monkeypatch):
+    bundle = PolicyBundle(name="quiet", description="test", prefetch_factory=_QuietHistory)
+    monkeypatch.setitem(POLICY_REGISTRY, "quiet", bundle)
+    assert vector_mode("quiet") == "kernel"
+    config = FleetConfig(n_boards=3, requests_per_board=30, policy="quiet", mean_gap_ns=20_000)
+    _, fast = _both_engines(config)
+    assert fast.engine_stats.scalar_boards == 3
+    assert fast.engine_stats.vector_boards == 0
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    policy=st.sampled_from(["history", "confidence", "markov"]),
+    slots=st.integers(1, 3),
+    regions=st.integers(1, 3),
+    modules=st.integers(2, 11),
+    mean_gap_ns=st.floats(1.7, 7.3).map(lambda exponent: int(10**exponent)),
+    traffic=st.sampled_from(["poisson", "diurnal", "thrash"]),
+    n_boards=st.integers(2, 4),
+    requests=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_generated_fleets_agree_with_the_kernel(
+    policy, slots, regions, modules, mean_gap_ns, traffic, n_boards, requests, seed
+):
+    _both_engines(
+        FleetConfig(
+            n_boards=n_boards, requests_per_board=requests, policy=policy,
+            region_slots=slots, regions=regions, modules_per_region=modules,
+            mean_gap_ns=mean_gap_ns, traffic=traffic, seed=seed,
+        )
+    )

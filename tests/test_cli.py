@@ -475,6 +475,7 @@ def test_fleet_json_output():
         ("--mean-gap", "-10", "mean_gap_ns"),
         ("--slots", "0", "region_slots"),
         ("--trace-boards", "-1", "trace_boards"),
+        ("--telemetry-window", "0", "telemetry_window"),
     ],
 )
 def test_fleet_out_of_range_flags_are_clean_errors(flag, value, field):
