@@ -25,8 +25,8 @@ engines with matched warm-up, best-of-3 walls, and asserts
   fleet), plus the absolute req/s floors,
 - the per-policy frontier invariants (belady bounds its online
   competitors), with both engines' digests compared per policy — all
-  eight frontier policies, plus two- and three-slot frontiers on fixed
-  and every speculative policy, in smoke mode too.
+  eight frontier policies, plus two- and three-slot frontiers on every
+  core with a resident area, in smoke mode too.
 
 Writes ``BENCH_fleet_throughput.json`` (full) or
 ``BENCH_fleet_throughput_smoke.json`` (smoke) with kernel and fast walls
@@ -50,10 +50,12 @@ HEADLINE_POLICY = "fixed"
 FRONTIER_BOARDS = 16 if SMOKE else 200
 FRONTIER_REQUESTS = 40 if SMOKE else 100
 FRONTIER_POLICIES = ("none", "fixed", "history", "confidence", "markov", "lru", "lfu", "belady")
-#: prefetching bundles under multi-slot area overrides (the resident
-#: block on the onselect and speculate cores), compared across engines
-#: like the frontier
-SLOTS_FRONTIER_POLICIES = ("fixed", "history", "confidence", "markov")
+#: bundles under multi-slot area overrides, compared across engines like
+#: the frontier: every core that keeps a resident area (no-prefetch FIFO,
+#: LRU, LFU and Belady, on-select and speculate)
+SLOTS_FRONTIER_POLICIES = (
+    "none", "fixed", "lru", "lfu", "belady", "history", "confidence", "markov",
+)
 SLOTS_FRONTIER_SLOTS = (2, 3)
 
 #: Absolute wall-clock floors, far below measured rates so shared CI

@@ -49,12 +49,16 @@ def write_result(name: str, text: str) -> None:
 def write_bench_json(name: str, payload: dict) -> pathlib.Path:
     """Persist a ``BENCH_*.json`` artefact and append its headline to history.
 
-    Every benchmark result lands twice: the full payload overwrites its
+    A full-scale result lands twice: the full payload overwrites its
     ``BENCH_<name>.json`` (latest-state artefact, committed), and the one
     headline number appends to ``HISTORY.jsonl`` — the append-only series
     the ``repro bench-check`` regression gate reads.  Benchmarks without a
     registered headline (see :data:`repro.obs.history.HEADLINES`) still get
     their JSON; they just don't join the gate.
+
+    A smoke result (``BENCH_<name>_smoke``) only writes its JSON, which is
+    not committed (``.gitignore``): CI uploads it as a run artefact, and a
+    local smoke run leaves the tracked results untouched.
     """
     from repro.obs.history import append_from_result
 
@@ -62,8 +66,9 @@ def write_bench_json(name: str, payload: dict) -> pathlib.Path:
     stem = name[: -len(".json")] if name.endswith(".json") else name
     path = RESULTS_DIR / f"{stem}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    bench = stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
-    append_from_result(RESULTS_DIR / "HISTORY.jsonl", bench, payload)
+    if not stem.endswith("_smoke"):
+        bench = stem[len("BENCH_"):] if stem.startswith("BENCH_") else stem
+        append_from_result(RESULTS_DIR / "HISTORY.jsonl", bench, payload)
     return path
 
 

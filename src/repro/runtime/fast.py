@@ -28,13 +28,13 @@ on the request instant, or a zero gap — send that board to the kernel.
 
 - ``noprefetch-*`` (``none``/``lru``/``lfu``/``belady``): demands never
   overlap loads, so a step is hit / resident hit / miss with
-  ``stall = latency + transfer`` on a miss, plus masked insert/evict
-  updates on the resident area whose victim metric is LRU recency, LFU
-  frequency, FIFO insertion order or Belady's next use (one reverse scan
-  over the module matrix).
+  ``stall = latency + transfer`` on a miss; a multi-slot miss inserts its
+  module into the area, whose lanes keep FIFO insertion order or LRU
+  recency, or are ranked by LFU frequency or Belady's next use (one
+  reverse scan over the schedule).
 - ``onselect`` / ``onselect-fifo`` (``fixed``/``on_select``): the select
   announcement at the previous completion starts a load that the demand a
-  gap later joins or finds landed; multi-slot areas add the resident block.
+  gap later joins or finds landed; multi-slot areas add FIFO lanes.
 - ``speculate`` / ``speculate-fifo`` (``history``/``confidence``/
   ``markov``): the predictors' count tables are ``(board, module, module)``
   tensors, and a step is hit, join of the in-flight speculation, idle miss,
@@ -42,16 +42,21 @@ on the request instant, or a zero gap — send that board to the kernel.
   context or reloads); a region holds one flight plus one queued
   speculation.
 
-Every multi-slot core keeps its areas in one :class:`_Area`.  A bundle no
-core recognises (a subclassed policy, a prefetcher with an eviction rule)
-is ``kernel``: every board replays on the kernel.
+Every multi-slot core keeps its areas in one :class:`_Area`: ``slots``
+lanes per ``(board, region)`` cell, each holding a module or nothing, so
+a residency test or a victim search reads ``slots`` flat arrays, however
+many modules a region has.  Counters every step would add to in the same
+way (requests, evictions, the on-select hit split) are derived once after
+the last step.  A bundle no core recognises (a subclassed policy, a
+prefetcher with an eviction rule) is ``kernel``: every board replays on
+the kernel.
 
 The kernel (:mod:`repro.runtime.fleet`'s ``engine="kernel"``) stays the one
 reference: ``tests/runtime/test_fast.py`` pins every core's per-board
 counters, end times and telemetry to it, and tie boards replay on it.
-Counter rows use the :data:`~repro.reconfig.manager.COUNTER_FIELDS` layout
-and are rebuilt through :meth:`ManagerStats.from_counters`, so the array
-form and the manager's dataclass can never disagree on field order.
+Counter rows use the :data:`~repro.reconfig.manager.COUNTER_FIELDS` layout,
+the manager dataclass's field order, and become per-board dicts in one
+bulk pass.
 
 Preconditions (all guaranteed by the fleet driver): size-only bitstream
 registration (CRC always verifies), no readback verification, no upset
@@ -66,7 +71,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from repro.reconfig.architectures import ReconfigArchitecture
-from repro.reconfig.manager import COUNTER_FIELDS, ManagerStats
+from repro.reconfig.manager import COUNTER_FIELDS
 from repro.reconfig.prefetch import (
     HistoryPrefetchPolicy,
     MarkovPrefetchPolicy,
@@ -95,6 +100,8 @@ _I_STALL = _IDX["stall_ns"]
 _N_COUNTERS = len(COUNTER_FIELDS)
 #: a time no event reaches
 _NEVER = np.iinfo(np.int64).max
+#: the score of an empty lane, below every entry's
+_LOWEST = np.iinfo(np.int64).min
 
 
 @dataclass
@@ -170,59 +177,118 @@ def _load_table(
 class _Area:
     """Every ``(board, region)`` cell's shared area at ``region_slots`` > 1.
 
-    Flat layout: cell ``board * regions + region``, entry ``cell * modules
-    + module``.  Every region starts with its first module resident.
-    ``metric`` ranks eviction victims; it starts as the FIFO insertion
-    stamp of a per-board ``clock`` that ticks once per preload in
-    region-map order, and the no-prefetch core may swap in LRU recency, LFU
-    frequency or Belady's next use.
+    A cell (``board * regions + region``) has ``slots`` lanes, each holding
+    a module index or -1 (empty).  ``lanes[j]`` is lane ``j`` of every
+    cell, so reading a lane is one flat gather.  Every region starts with
+    its first module in lane 0 and the other lanes empty.  The eviction
+    rule orders the lanes:
+
+    - FIFO (no eviction policy) and LRU: newest or most recently demanded
+      first.  An insert puts its module in lane 0 and shifts every lane
+      one back, so the last lane falls out: the victim, unless it was
+      empty.  An LRU demand moves its module to lane 0 the same way,
+      shifting only the lanes in front of it.
+    - LFU and Belady: lanes keep their place, and a miss replaces the
+      lane with the lowest ``score``, one composite key per entry:
+      frequency times ``M + 1`` plus the module's name rank (LFU), or
+      minus (next use times ``M + 1`` plus the name rank) (Belady), so the
+      lowest score is the policies' ``min``/``max`` over ``(metric,
+      name)``.  Column 0 of each cell scores an empty lane, lowest of all.
     """
 
-    def __init__(self, n_boards: int, rank_arr: np.ndarray, slots: int):
+    def __init__(
+        self,
+        n_boards: int,
+        rank_arr: np.ndarray,
+        slots: int,
+        eviction: Optional[str] = None,
+        first_scores: Optional[np.ndarray] = None,
+    ):
         n_regions, n_modules = rank_arr.shape
         cells = n_boards * n_regions
-        self.slots = slots
-        self.n_regions, self.n_modules = n_regions, n_modules
-        self.rank = rank_arr
-        self.resident = np.zeros((cells, n_modules), dtype=bool)
-        self.resident[:, 0] = True
-        self.count = np.ones(cells, dtype=np.int64)
-        self.clock = np.full(n_boards, n_regions, dtype=np.int64)
-        self.metric = np.zeros((cells, n_modules), dtype=np.int64)
-        self.metric[:, 0] = np.tile(np.arange(1, n_regions + 1), n_boards)
-        #: flat views, indexed by entry
-        self.held = self.resident.reshape(-1)
-        self.key = self.metric.reshape(-1)
+        self.n_regions = n_regions
+        self.lanes = np.full((slots, cells), -1, dtype=np.int64)
+        self.lanes[0] = 0
+        self.ranked = eviction in ("lfu", "belady")
+        if self.ranked:
+            self.stride = n_modules + 1
+            score = np.full((n_boards, n_regions, self.stride), _LOWEST, dtype=np.int64)
+            # LFU entries start at frequency 0, Belady's at their first use
+            score[..., 1:] = rank_arr if first_scores is None else first_scores
+            self.score = score.reshape(-1)
 
-    def insert(self, cell, entry, mask, counters, stamp: bool = True, largest: bool = False):
-        """Configure ``entry`` where ``mask`` (never already resident), then
-        evict one victim from each overflowing cell.
+    def resident(self, cell: np.ndarray, module: np.ndarray) -> np.ndarray:
+        """Whether ``module`` holds a lane of ``cell``."""
+        lanes = iter(self.lanes)
+        found = next(lanes)[cell] == module
+        for lane in lanes:
+            found |= lane[cell] == module
+        return found
 
-        ``stamp`` gives the insert its FIFO stamp.  The victim is the masked
-        argmin of ``metric * (M+1) + name_rank`` (``largest``: argmax) over
-        the cell's other residents, reproducing the policies' ``min``/``max``
-        over ``(metric, name)`` keys.  Returns the overflowing cells and
-        their victims, or None.
+    def touch(self, cell: np.ndarray, module: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """An LRU demand: move ``module`` to lane 0, inserting it if absent.
+
+        Returns the hit mask (``module`` was in lane 0, the active module
+        of a no-prefetch area) and the miss mask (it was not resident).
         """
-        self.held[entry] |= mask
-        self.count[cell] += mask
-        if stamp:
-            self.clock += mask
-            self.key[entry] = np.where(mask, self.clock, self.key[entry])
-        over = mask & (self.count[cell] > self.slots)
-        if not over.any():
-            return None
-        cells = cell[over]
-        candidates = self.resident[cells]
-        candidates[np.arange(len(cells)), entry[over] - cells * self.n_modules] = False
-        key = self.metric[cells] * (self.n_modules + 1) + self.rank[cells % self.n_regions]
-        if largest:
-            key = -key
-        victim = np.where(candidates, key, _NEVER).argmin(axis=1)
-        self.resident[cells, victim] = False
-        self.count[cells] -= 1
-        counters[_I_EVICTIONS, cells // self.n_regions] += 1
-        return cells, victim
+        lanes = iter(self.lanes)
+        lane = next(lanes)
+        prev = lane[cell]
+        lane[cell] = module
+        hit = prev == module
+        miss = ~hit
+        for lane in lanes:
+            held = lane[cell]
+            lane[cell] = np.where(miss, prev, held)
+            miss &= held != module
+            prev = held
+        return hit, miss
+
+    def insert(self, cell, module, mask) -> np.ndarray:
+        """FIFO: configure ``module`` (never already resident) where ``mask``.
+
+        Returns each board's victim (-1: none).
+        """
+        prev = module
+        for lane in self.lanes:
+            held = lane[cell]
+            lane[cell] = np.where(mask, prev, held)
+            prev = held
+        return np.where(mask, prev, -1)
+
+    def rank(self, cell, module, score: Optional[np.ndarray] = None) -> np.ndarray:
+        """An LFU (``score`` None: one more use) or Belady demand.
+
+        Rescores ``module``, then configures it where it is not resident,
+        in the lane with the lowest score.  Returns the miss mask.
+        """
+        base = cell * self.stride + 1
+        if score is None:
+            self.score[base + module] += self.stride
+        else:
+            self.score[base + module] = score
+        lanes = iter(self.lanes)
+        held = next(lanes)[cell]
+        resident = held == module
+        low, pick, victim = self.score[base + held], 0, held
+        for j, lane in enumerate(lanes, 1):
+            held = lane[cell]
+            resident |= held == module
+            key = self.score[base + held]
+            lower = key < low
+            low = np.minimum(low, key)
+            pick = np.where(lower, j, pick)
+            victim = np.where(lower, held, victim)
+        miss = ~resident
+        slot = pick * self.lanes.shape[1] + cell
+        self.lanes.reshape(-1)[slot] = np.where(miss, module, victim)
+        return miss
+
+    def evictions(self, inserts: np.ndarray) -> np.ndarray:
+        """Per board, how many of its ``inserts`` evicted a module: each
+        one either filled an empty lane or pushed a module out."""
+        filled = (self.lanes >= 0).reshape(len(self.lanes), len(inserts), -1).sum(axis=(0, 2))
+        return inserts - (filled - self.n_regions)
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +296,29 @@ class _Area:
 # ---------------------------------------------------------------------------
 
 
-def _next_uses(regs: np.ndarray, mods: np.ndarray, n_regions: int, n_modules: int):
-    """Belady's index, by one reverse scan over the schedule arrays.
+def _next_uses(regs: np.ndarray, mods: np.ndarray, rank_arr: np.ndarray):
+    """Belady's scores, by one reverse scan over the schedule arrays.
 
-    Returns ``(after, first)``: ``after[b, s]`` is the next step of board
-    ``b`` demanding step ``s``'s ``(region, module)`` again, and
+    Returns ``(after, first)``: ``after[b, s]`` scores the next step of
+    board ``b`` demanding step ``s``'s ``(region, module)`` again, and
     ``first[b, r, m]`` the first step demanding ``(r, m)``.  A module never
-    demanded again reads ``steps``, beyond every real use.
+    demanded again reads ``steps``, beyond every real use.  A step scores
+    as :class:`_Area` ranks Belady's entries: minus (step times ``M + 1``
+    plus the module's name rank).
     """
     n_boards, steps = regs.shape
-    bi = np.arange(n_boards)
+    n_regions, n_modules = rank_arr.shape
+    stride = n_modules + 1
+    rank = rank_arr.reshape(-1)
+    base = np.arange(n_boards) * rank.size
     after = np.empty((n_boards, steps), dtype=np.int64, order="F")
-    seen = np.full((n_boards, n_regions, n_modules), steps, dtype=np.int64)
+    seen = np.tile(-(steps * stride + rank), n_boards)
     for step in range(steps - 1, -1, -1):
-        region, module = regs[:, step], mods[:, step]
-        after[:, step] = seen[bi, region, module]
-        seen[bi, region, module] = step
-    return after, seen
+        entry = regs[:, step] * n_modules + mods[:, step]
+        slot = base + entry
+        after[:, step] = seen[slot]
+        seen[slot] = -step * stride - rank[entry]
+    return after, seen.reshape(n_boards, n_regions, n_modules)
 
 
 def _vector_noprefetch(
@@ -265,9 +337,11 @@ def _vector_noprefetch(
 
     Without prefetch the region is always idle when a demand arrives, so a
     step is: hit (active module), resident hit (shared area), or a blocking
-    load of ``latency + transfer``.  Multi-slot inserts may overflow the
-    area; :meth:`_Area.insert` picks the victim with LRU recency, LFU
-    frequency, FIFO insertion order or Belady's next use as the metric.
+    load of ``latency + transfer``.  A multi-slot miss inserts its module
+    into the area: :meth:`_Area.touch` keeps LRU lanes in recency order,
+    :meth:`_Area.insert` FIFO lanes in insertion order, and
+    :meth:`_Area.rank` evicts by LFU frequency or Belady's next use (one
+    reverse scan over the schedule).
     """
     n_boards, steps = gaps.shape
     n_regions, n_modules = load_arr.shape
@@ -277,61 +351,47 @@ def _vector_noprefetch(
     loaded = np.zeros(n_boards * n_regions, dtype=np.int64)
     row = np.arange(n_boards) * n_regions
     multi = slots > 1
-    if multi:
-        # LRU's clock ticks once per preload in region-map order, exactly
-        # like FIFO's insertion stamps
-        area = _Area(n_boards, rank_arr, slots)
-        if eviction == "lfu":
-            area.key[:] = 0
-        elif eviction == "belady":
-            after, first = _next_uses(regs, mods, n_regions, n_modules)
-            area.key[:] = first.reshape(-1)
+    first_scores = None
+    if multi and eviction == "belady":
+        next_scores, first_scores = _next_uses(regs, mods, rank_arr)
+    area = _Area(n_boards, rank_arr, slots, eviction, first_scores) if multi else None
+    # a miss's stall, latency plus transfer, by flat (region, module) entry
+    durations = (latency_ns + load_arr).reshape(-1)
     if recorder is not None:
-        recorder.mode = "noprefetch"
-        recorder.port_offset_ns = latency_ns
+        (misses,) = recorder.begin("noprefetch", gaps, regs, mods, load_arr, latency_ns)
+    lru = multi and eviction == "lru"
     for step in range(steps):
         gap = gaps[:, step]
         region = regs[:, step]
         module = mods[:, step]
         cell = row + region
         t_req = t + gap
-        counters[_I_DEMAND_REQUESTS] += 1
-        hit = loaded[cell] == module
-        if multi:
-            entry = cell * n_modules + module
-            if eviction == "lru":
-                area.clock += 1
-                area.key[entry] = area.clock
-            elif eviction == "lfu":
-                area.key[entry] += 1
-            elif eviction == "belady":
-                area.key[entry] = after[:, step]
-            res_hit = area.held[entry] & ~hit
-            miss = ~(hit | res_hit)
-            counters[_I_RESIDENT] += res_hit
+        if lru:
+            # lane 0 holds the active module
+            hit, miss = area.touch(cell, module)
         else:
-            miss = ~hit
-        duration = latency_ns + load_arr[region, module]
-        stall = np.where(miss, duration, 0)
+            hit = loaded[cell] == module
+            loaded[cell] = module
+            if not multi:
+                miss = ~hit
+            elif area.ranked:
+                miss = area.rank(cell, module, None if first_scores is None else next_scores[:, step])
+            else:
+                miss = ~area.resident(cell, module)
+                area.insert(cell, module, miss)
+        stall = np.where(miss, durations[region * n_modules + module], 0)
         counters[_I_INSTANT] += hit
         counters[_I_DEMAND_LOADS] += miss
         counters[_I_STALL] += stall
         if recorder is not None:
-            # every array here already exists for this step, so recording
-            # is one tuple append; stalls, hits and port transfers are
-            # derived lazily at the store's first read — counters/t are
-            # untouched and digest parity cannot move
-            recorder.record_step(t_req, miss, duration)
+            # request times, stalls and transfers follow from the misses
+            misses[step] = miss
         t = t_req + stall
-        loaded[cell] = module
-        if multi:
-            evicted = area.insert(
-                cell, entry, miss, counters,
-                stamp=eviction is None, largest=eviction == "belady",
-            )
-            if evicted is not None and eviction == "lru":
-                # LRU forgets evicted recency (get(..., 0) after pop)
-                area.metric[evicted] = 0
+    # every demand is an instant hit, a resident hit or a load
+    counters[_I_DEMAND_REQUESTS] = steps
+    counters[_I_RESIDENT] = steps - counters[_I_INSTANT] - counters[_I_DEMAND_LOADS]
+    if multi:
+        counters[_I_EVICTIONS] = area.evictions(counters[_I_DEMAND_LOADS])
     return counters, t
 
 
@@ -360,6 +420,8 @@ def _vector_onselect(
     """
     n_boards, steps = gaps.shape
     n_regions, n_modules = load_arr.shape
+    # latency plus transfer, by flat (region, module) entry
+    durations = (latency_ns + load_arr).reshape(-1)
     counters = np.zeros((_N_COUNTERS, n_boards), dtype=np.int64)
     t = np.zeros(n_boards, dtype=np.int64)
     loaded = np.zeros(n_boards * n_regions, dtype=np.int64)
@@ -368,40 +430,42 @@ def _vector_onselect(
     if multi:
         area = _Area(n_boards, rank_arr, slots)
     if recorder is not None:
-        recorder.mode = "onselect"
-        recorder.port_offset_ns = 0  # recorded loads are pure transfers
+        earlies, fetches = recorder.begin("onselect", gaps, regs, mods, load_arr, latency_ns)
+    # per board: demands for the active module, and fetches a demand
+    # queued behind
+    actives = np.zeros(n_boards, dtype=np.int64)
+    queued = np.zeros(n_boards, dtype=np.int64)
     for step in range(steps):
         gap = gaps[:, step]
         region = regs[:, step]
         module = mods[:, step]
         cell = row + region
         t_req = t + gap
-        counters[_I_DEMAND_REQUESTS] += 1
         same = loaded[cell] == module
-        if multi:
-            entry = cell * n_modules + module
-            res_hit = area.held[entry] & ~same
-            fetch = ~(same | res_hit)
-            counters[_I_RESIDENT] += res_hit
-        else:
-            fetch = ~same
-        load = load_arr[region, module]
-        spec_end = t + latency_ns + load
+        fetch = ~area.resident(cell, module) if multi else ~same
+        spec_end = t + durations[region * n_modules + module]
         early = fetch & (t_req <= spec_end)
-        counters[_I_INSTANT] += fetch ^ early | same
-        counters[_I_USEFUL] += fetch
+        actives += same
         counters[_I_PREFETCH_LOADS] += fetch
+        queued += early
         stall = np.where(early, spec_end - t_req, 0)
         counters[_I_STALL] += stall
         if recorder is not None:
-            # arrays already exist for this step (see _vector_noprefetch);
-            # hits are ~early, and every fetch step runs one transfer of
-            # ``load`` through the port, landing at ``spec_end``
-            recorder.record_step(t_req, spec_end, early, fetch, load)
-        t = np.where(early, spec_end, t_req)
+            earlies[step] = early
+            fetches[step] = fetch
+        t = t_req + stall
         loaded[cell] = module
         if multi:
-            area.insert(cell, entry, fetch, counters)
+            area.insert(cell, module, fetch)
+    # a demand finds its module active, resident or fetched; a fetch is an
+    # instant hit unless the demand queued behind it
+    fetched = counters[_I_PREFETCH_LOADS]
+    counters[_I_DEMAND_REQUESTS] = steps
+    counters[_I_INSTANT] = actives + fetched - queued
+    counters[_I_RESIDENT] = steps - actives - fetched
+    counters[_I_USEFUL] = fetched
+    if multi:
+        counters[_I_EVICTIONS] = area.evictions(fetched)
     return counters, t
 
 
@@ -547,6 +611,7 @@ def _vector_speculate(
     """
     n_boards, steps = gaps.shape
     n_regions, n_modules = load_arr.shape
+    loads = load_arr.reshape(-1)
     latency = latency_ns
     multi = slots > 1
     area = _Area(n_boards, rank_arr, slots) if multi else None
@@ -575,27 +640,22 @@ def _vector_speculate(
     queue_at = np.full(n_boards, _NEVER, dtype=np.int64)
     tied = np.zeros(n_boards, dtype=bool)
     if recorder is not None:
-        recorder.mode = "speculate"
-        recorder.port_offset_ns = 0
+        columns = recorder.begin("speculate", gaps, regs, mods, load_arr, latency_ns)
 
     def land(mask, cell, module, claimed):
         """Apply the landing of ``module`` in ``cell`` where ``mask``;
         ``claimed`` (a demand load, a joined flight) leaves it unmarked."""
+        kept = unclaimed[cell]
         if multi:
-            # a masked-out -1 must still index its own cell's row
-            entry = cell * n_modules + np.maximum(module, 0)
-            evicted = area.insert(cell, entry, mask, counters)
-            if evicted is not None:
-                over, victim = evicted
-                lost = unclaimed[over] == victim
-                counters[_I_WASTED, over // n_regions] += lost
-                unclaimed[over] = np.where(lost, -1, unclaimed[over])
-            kept = unclaimed[cell]
+            victim = area.insert(cell, module, mask)
+            lost = (kept == victim) & (victim >= 0)
+            counters[_I_WASTED] += lost
+            kept = np.where(lost, -1, kept)
+            unclaimed[cell] = np.where(mask, np.where(claimed, kept, module), kept)
         else:
-            counters[_I_WASTED] += mask & (unclaimed[cell] >= 0)
-            kept = -1
+            counters[_I_WASTED] += mask & (kept >= 0)
+            unclaimed[cell] = np.where(mask, np.where(claimed, -1, module), kept)
         loaded[cell] = np.where(mask, module, loaded[cell])
-        unclaimed[cell] = np.where(mask, np.where(claimed, kept, module), unclaimed[cell])
 
     def start_queued(limit):
         """Start every queued speculation whose flight lands before
@@ -613,7 +673,7 @@ def _vector_speculate(
             spec = flight[cell]
             land(go, cell, spec, False)
             start = go & (target != spec)
-            load = load_arr[region, np.maximum(target, 0)]
+            load = loads[region * n_modules + np.maximum(target, 0)]
             spec_end = np.maximum(end + latency, port_free) + load
             np.copyto(port_free, spec_end, where=start)
             counters[_I_PREFETCH_LOADS] += start
@@ -657,11 +717,7 @@ def _vector_speculate(
             | ((t_req == lat_end) & ((start < t_prev) | ((start == t_prev) & ~flight_wake[cell])))
         )
         same = current == module
-        if multi:
-            entry = cell * n_modules + module
-            fits = area.held[entry]
-        else:
-            fits = same
+        fits = area.resident(cell, module) if multi else same
         hit = ~loading & fits
         join = loading & (spec == module)
         behind = active & ~(hit | join)
@@ -676,21 +732,21 @@ def _vector_speculate(
         prev = last_demand[cell]
         last_demand[cell] = module
         predictor.observe(prev, module)
-        counters[_I_DEMAND_REQUESTS] += 1
         claim = hit & (uncl == module)
         follow = behind & (spec == module)
         if multi:
             # a join claims the flight before it lands; a demand behind it waits
             unclaimed[cell] = np.where(join, -1, uncl)
             land(join | behind, cell, spec, join)
-            switch = behind & ~follow & area.held[entry]
+            switch = behind & ~follow & area.resident(cell, module)
             counters[_I_RESIDENT] += (hit & ~same) | switch
         else:
             switch = False
         reload = idle_miss | (behind & ~(follow | switch))
         load_start = np.where(idle_miss, t_req, end)
         start_queued(np.where(reload, load_start, t_req))
-        load = load_arr[region, module]
+        base = region * n_modules
+        load = loads[base + module]
         load_end = np.maximum(load_start + latency, port_free) + load
         np.copyto(port_free, load_end, where=reload)
         if multi:
@@ -716,14 +772,14 @@ def _vector_speculate(
         target = predictor.predict(module)
         want = (target >= 0) & (target != module)
         if multi:
-            want &= ~area.held[cell * n_modules + np.maximum(target, 0)]
+            want &= ~area.resident(cell, target)
         kept = hit & active
         resume = join & (queue >= 0) & (queue != module)
         go = (want & ~(join | kept)) | resume
         new_queue = want & kept & (queue < 0)
         start_queued(done)
         nxt = np.where(join, queue, target)
-        spec_load = load_arr[region, np.maximum(nxt, 0)]
+        spec_load = loads[base + np.maximum(nxt, 0)]
         spec_end = np.maximum(done + latency, port_free) + spec_load
         np.copyto(port_free, spec_end, where=go)
         counters[_I_PREFETCH_LOADS] += go
@@ -735,15 +791,22 @@ def _vector_speculate(
         queued[cell] = np.where(new_queue, target, np.where(kept, queue, -1))
         np.minimum(queue_at, np.where(new_queue, end, _NEVER), out=queue_at)
         if recorder is not None:
-            recorder.record_step(
-                t_req, stall, hit | switch, reload, load_end, load, go, spec_end, spec_load
-            )
+            for column, value in zip(
+                columns, (stall, hit | switch, reload, load_end, go, spec_end, spec_load)
+            ):
+                column[step] = value
         t = done
     # every flight lands, and every queued speculation behind one starts
     start_queued(_NEVER)
     for r in range(n_regions):
         spec = flight[row + r]
         land(spec >= 0, row + r, spec, False)
+    counters[_I_DEMAND_REQUESTS] = steps
+    if multi:
+        # every load, demand or speculative, has landed in the area
+        counters[_I_EVICTIONS] = area.evictions(
+            counters[_I_DEMAND_LOADS] + counters[_I_PREFETCH_LOADS]
+        )
     return counters, np.maximum(t, port_free), tied
 
 
@@ -777,17 +840,19 @@ def simulate_fast_fleet(
     order: the cores step through its ``(boards, requests)`` arrays as they
     are.
 
-    Returns per-board stats dicts (``ManagerStats.to_dict()`` form, in
-    schedule order), per-board end times (the last event on each board),
-    and the engine's execution stats.  Boards the core marks tied — and
-    every board of a ``kernel`` bundle — go to ``replay`` (the fleet
-    driver's kernel replay).
+    Returns per-board stats dicts (``ManagerStats.to_dict()`` form, keyed
+    by :data:`~repro.reconfig.manager.COUNTER_FIELDS` in that order and
+    built from the counter matrix in one pass, in schedule order),
+    per-board end times (the last event on each board), and the engine's
+    execution stats.  Boards the core marks tied — and every board of a
+    ``kernel`` bundle — go to ``replay`` (the fleet driver's kernel
+    replay).
 
     ``recorder`` (a :class:`repro.runtime.fleet.FleetTelemetryRecorder`)
-    collects windowed telemetry as per-step array references on the cores
-    and per-event tuples on kernel replays; all aggregation is deferred to
-    the recorder's flush, so the simulated outcome is bit-identical with or
-    without it.
+    collects windowed telemetry as per-step columns on the cores and
+    per-event tuples on kernel replays; all derivation and aggregation is
+    deferred to the store's first read, so the simulated outcome is
+    bit-identical with or without it.
     """
     bundle = get_bundle(config.policy)
     region_map = config.region_map()
@@ -834,8 +899,8 @@ def simulate_fast_fleet(
             latency_ns=latency_ns,
             recorder=recorder,
         )
-    rows = [ManagerStats.from_counters(row).to_dict() for row in counters.T]
-    end_times = [int(e) for e in ends]
+    rows = [dict(zip(COUNTER_FIELDS, row)) for row in counters.T.tolist()]
+    end_times = ends.tolist()
     for index in np.flatnonzero(tied).tolist():
         if replay is None:
             raise ValueError(f"board {index} needs a kernel replay; pass replay=")

@@ -213,16 +213,19 @@ class FleetTelemetryRecorder:
     """Low-overhead telemetry collector for the fast engine, and the
     kernel's per-event sink.
 
-    The vector cores hand over *references* to arrays they compute anyway
-    each step (no derived arrays are built in the step loop), plus a port
-    batch whenever the speculate core starts queued speculations between
-    steps.  The kernel manager (``engine="kernel"`` and kernel replays)
-    appends plain tuples to :attr:`scalar_demands` and
-    :attr:`scalar_port`.  :meth:`flush` then hands lazy batch closures to a
-    :class:`~repro.obs.telemetry.TimeSeriesStore`'s write-behind buffer, so
-    all concatenation and windowed aggregation runs at the store's first
-    read — outside the timed simulation.  The simulated state is never read
-    back, so enabling telemetry cannot move ``FleetReport.digest()``.
+    A vector core writes, per step, only what the flush cannot rebuild
+    from the schedule arrays and the load table: one row of each column
+    :meth:`begin` preallocates (the miss mask on the no-prefetch core).
+    The speculate core also hands over a port batch whenever it starts
+    queued speculations between steps.  The kernel manager
+    (``engine="kernel"`` and kernel replays) appends plain tuples to
+    :attr:`scalar_demands` and :attr:`scalar_port`.  :meth:`flush` then
+    hands lazy batch closures to a
+    :class:`~repro.obs.telemetry.TimeSeriesStore`'s write-behind buffer,
+    so rebuilding request times, stalls and transfers, and all windowed
+    aggregation, runs at the store's first read — outside the timed
+    simulation.  The simulated state is never read back, so enabling
+    telemetry cannot move ``FleetReport.digest()``.
 
     Series produced (sim-clock windows, labeled ``policy=...``):
     ``fleet.demands`` / ``fleet.hits`` counters keyed by request time,
@@ -234,30 +237,24 @@ class FleetTelemetryRecorder:
     the same rows.
     """
 
+    #: per vector core, the dtype of each column it writes per step:
+    #: ``noprefetch`` the miss mask; ``onselect`` the early (queued behind
+    #: the select-time load) and fetch masks; ``speculate`` stall, hit,
+    #: reload, load end, speculation start, speculation end and its
+    #: transfer
+    COLUMNS = {
+        "noprefetch": (bool,),
+        "onselect": (bool, bool),
+        "speculate": (np.int64, bool, bool, np.int64, bool, np.int64, np.int64),
+    }
+
     def __init__(self):
-        #: vector-core batches of *raw* step arrays, captured by reference,
-        #: in the layout of the core named by :attr:`mode` (see
-        #: :meth:`_step_events`).  Everything else — stalls, hit masks,
-        #: port transfers — is derived from these in bulk at the store's
-        #: first read.  Keeping the retained set minimal matters: every
-        #: referenced array blocks numpy's buffer reuse for the whole run,
-        #: which is most of the telemetry overhead the ≤5% guard measures.
-        #: :meth:`record_step` therefore compacts every
-        #: :attr:`compact_every` batches into one concatenated batch and
-        #: releases the small per-step arrays back to the allocator.
-        self._steps: list[tuple] = []
-        self._n_small = 0
-        #: per-step batches held before a compaction pass; a handful of
-        #: ~kB arrays stay out of reuse at any time instead of thousands
-        self.compact_every: int = 64
-        #: which vector core produced :attr:`_steps` (set by the core)
-        self.mode: str = "noprefetch"
-        #: subtracted from recorded durations (the no-prefetch core hands
-        #: over ``latency + transfer`` durations it computed anyway)
-        self.port_offset_ns: int = 0
+        #: the vector core's run: ``(mode, columns, gaps, regions,
+        #: modules, load_arr, latency_ns)`` (see :meth:`begin`)
+        self._core: Optional[tuple] = None
         #: port transfers a core starts between its steps (a queued
         #: speculation at its region's landing): ``(mask, end, duration)``
-        #: board-indexed arrays, captured by reference like the steps
+        #: board-indexed arrays, captured by reference
         self._ports: list[tuple] = []
         #: per-event demand completions: (t_req, stall_ns, hit)
         self.scalar_demands: list[tuple] = []
@@ -266,61 +263,75 @@ class FleetTelemetryRecorder:
         #: the board of each :attr:`scalar_port` event, when known (the
         #: fast engine labels them; the shared-kernel run cannot)
         self.scalar_port_boards: list[int] = []
-        #: boards whose step arrays the per-event lists supersede
+        #: boards whose step columns the per-event lists supersede
         self.skip_boards: Optional[np.ndarray] = None
 
-    def record_step(self, *arrays) -> None:
-        steps = self._steps
-        steps.append(arrays)
-        self._n_small += 1
-        if self._n_small >= self.compact_every:
-            tail = steps[-self._n_small:]
-            del steps[-self._n_small:]
-            steps.append(tuple(np.concatenate(cols) for cols in zip(*tail)))
-            self._n_small = 0
+    def begin(self, mode, gaps, regions, modules, load_arr, latency_ns) -> tuple:
+        """The ``(steps, boards)`` columns a ``mode`` core fills row by row.
+
+        The schedule arrays and the load table are kept by reference; the
+        flush rebuilds the rest of each step from them.
+        """
+        n_boards, steps = gaps.shape
+        columns = tuple(np.empty((steps, n_boards), dtype=dtype) for dtype in self.COLUMNS[mode])
+        self._core = (mode, columns, gaps, regions, modules, load_arr, latency_ns)
+        return columns
 
     def record_port(self, mask, end, duration) -> None:
         self._ports.append((mask, end, duration))
 
     @staticmethod
-    def _step_events(mode: str, offset: int, cols: list[np.ndarray]):
-        """One core's raw step columns as demand and port events.
+    def _step_events(mode, columns, gaps, regions, modules, load_arr, latency_ns):
+        """One core's columns as demand and port events, step-major.
 
         Returns ``(t, stall, hit, ports)``; ``ports`` lists
         ``(mask, end, duration)`` triples, one per transfer kind.
         """
-        t = cols[0]
-        if mode == "onselect":
-            spec_end, early, fetch, load = cols[1:]
-            return t, np.where(early, spec_end - t, 0), ~early, [(fetch, spec_end, load)]
-        if mode == "speculate":
-            stall, hit, reload, load_end, load, go, spec_end, spec_load = cols[1:]
-            return t, stall, hit, [(reload, load_end, load), (go, spec_end, spec_load)]
-        miss, duration = cols[1:]
-        return t, np.where(miss, duration, 0), ~miss, [(miss, t + duration, duration - offset)]
+        gap = gaps.T
+        load = load_arr[regions.T, modules.T]
+        if mode == "noprefetch":
+            (miss,) = columns
+            stall = np.where(miss, latency_ns + load, 0)
+            hit = ~miss
+        elif mode == "onselect":
+            early, fetch = columns
+            # queued behind the load the select announcement started a
+            # gap before the request
+            stall = np.where(early, latency_ns + load - gap, 0)
+            hit = ~early
+        else:
+            stall, hit, reload, load_end, go, spec_end, spec_load = columns
+        # each request comes a gap after the previous one completed
+        t = np.cumsum(gap, axis=0) + np.cumsum(stall, axis=0) - stall
+        if mode == "noprefetch":
+            ports = [(miss, t + latency_ns + load, load)]
+        elif mode == "onselect":
+            ports = [(fetch, t - gap + latency_ns + load, load)]
+        else:
+            ports = [(reload, load_end, load), (go, spec_end, spec_load)]
+        flat = [(mask.ravel(), end.ravel(), duration.ravel()) for mask, end, duration in ports]
+        return t.ravel(), stall.ravel(), hit.ravel(), flat
 
     def flush(self, store: "TimeSeriesStore", policy: str, n_boards: int) -> None:
         """Hand the accumulated batches to the store as *lazy* batches.
 
         Nothing is concatenated, masked or derived here: closures capturing
-        the raw per-step arrays go into the store's write-behind buffer
+        the core's columns, the schedule arrays and the per-event lists go
+        into the store's write-behind buffer
         (:meth:`~repro.obs.telemetry.TimeSeriesStore.defer_array`) and run
         at first read, so the cost paid inside the timed simulation is a
-        handful of list appends.  The recorder's lists are re-bound (never
-        cleared in place) — the closures keep the handed-over batches,
+        handful of list appends.  The recorder's state is re-bound (never
+        cleared in place) — the closures keep what was handed over,
         sharing one memoized materialization across all five series.
         """
-        steps, self._steps = self._steps, []
+        core, self._core = self._core, None
         port_batches, self._ports = self._ports, []
-        self._n_small = 0
         scalar_demands, self.scalar_demands = self.scalar_demands, []
         scalar_port, self.scalar_port = self.scalar_port, []
         port_boards, self.scalar_port_boards = self.scalar_port_boards, []
         skip, self.skip_boards = self.skip_boards, None
-        if not steps and not scalar_demands and not scalar_port:
+        if core is None and not scalar_demands and not scalar_port:
             return
-        mode = self.mode
-        offset = self.port_offset_ns
         denominator = float(store.window) * max(n_boards, 1)
         cache: dict = {}
 
@@ -333,9 +344,8 @@ class FleetTelemetryRecorder:
                 return cache
             parts_t, parts_stall, parts_hit_t = [], [], []
             parts_board, parts_end, parts_dur = [], [], []
-            if steps:
-                cols = [_cat(list(col)) for col in zip(*steps)]
-                t, stall, hit, ports = self._step_events(mode, offset, cols)
+            if core is not None:
+                t, stall, hit, ports = self._step_events(*core)
                 board = np.arange(len(t)) % max(n_boards, 1)
                 keep = ~skip[board] if skip is not None else np.ones(len(t), dtype=bool)
                 parts_t.append(t[keep])
@@ -575,10 +585,11 @@ def run_fleet(
     if recorder is not None:
         recorder.flush(telemetry, policy=config.policy, n_boards=config.n_boards)
     wall_s = time.perf_counter() - t0
-    totals: dict[str, int] = {}
-    for stats in per_board:
-        for key, value in stats.items():
-            totals[key] = totals.get(key, 0) + value
+    # column sums: every row lists the counters in one order
+    totals = (
+        dict(zip(per_board[0], map(sum, zip(*(stats.values() for stats in per_board)))))
+        if per_board else {}
+    )
     traces = []
     for trace in open_traces:
         trace.close_open(end_time_ns)

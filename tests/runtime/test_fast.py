@@ -556,10 +556,10 @@ def test_unrecognised_bundle_replays_every_board_on_the_kernel(monkeypatch):
 
 @settings(max_examples=600, deadline=None)
 @given(
-    policy=st.sampled_from(["history", "confidence", "markov"]),
-    slots=st.integers(1, 3),
+    policy=st.sampled_from(ALL_POLICIES),
+    slots=st.integers(1, 4),
     regions=st.integers(1, 3),
-    modules=st.integers(2, 11),
+    modules=st.integers(1, 11),
     mean_gap_ns=st.floats(1.7, 7.3).map(lambda exponent: int(10**exponent)),
     traffic=st.sampled_from(["poisson", "diurnal", "thrash"]),
     n_boards=st.integers(2, 4),
