@@ -145,10 +145,10 @@ class ListSchedulerBase:
         #: exactly while none of the operation's cached placements has been
         #: invalidated (pressure is a pure function of those placements).
         self._pressure_cache: dict[str, int] = {}
-        #: one topological sort per run — the graph is frozen during
-        #: scheduling, so ranks, ready-list seeding and selection order can
-        #: share it.
-        self._topo: list[Operation] = list(self.graph.topological_order())
+        #: one copy of the graph's cached topological order per run — the
+        #: graph is frozen during scheduling, so ranks, ready-list seeding
+        #: and selection order can share it.
+        self._topo: list[Operation] = self.graph.topological_order()
 
     # -- naive reference sweeps -------------------------------------------------
     #

@@ -53,6 +53,9 @@ class ArchitectureGraph:
         self._operators: dict[str, Operator] = {}
         self._media: dict[str, Medium] = {}
         self._links: set[tuple[str, str]] = set()  # (operator, medium)
+        #: (src, dst) operator names -> shortest route, filled on first query
+        #: and dropped by every mutation; derived, so never pickled.
+        self._routes: dict[tuple[str, str], Route] = {}
 
     # -- construction ------------------------------------------------------------
 
@@ -60,12 +63,14 @@ class ArchitectureGraph:
         if op.name in self._operators or op.name in self._media:
             raise ArchitectureError(f"duplicate vertex name {op.name!r}")
         self._operators[op.name] = op
+        self._routes.clear()
         return op
 
     def add_medium(self, medium: Medium) -> Medium:
         if medium.name in self._media or medium.name in self._operators:
             raise ArchitectureError(f"duplicate vertex name {medium.name!r}")
         self._media[medium.name] = medium
+        self._routes.clear()
         return medium
 
     def connect(self, operator: Operator | str, medium: Medium | str) -> None:
@@ -73,6 +78,7 @@ class ArchitectureGraph:
         op = self.operator(operator if isinstance(operator, str) else operator.name)
         med = self.medium(medium if isinstance(medium, str) else medium.name)
         self._links.add((op.name, med.name))
+        self._routes.clear()
 
     # -- queries --------------------------------------------------------------------
 
@@ -129,14 +135,19 @@ class ArchitectureGraph:
     def __getstate__(self) -> dict:
         # Pickle ``_links`` in sorted order: set iteration depends on the
         # per-process string hash seed, and cached artifacts must serialize
-        # to identical bytes no matter which worker produced them.
+        # to identical bytes no matter which worker produced them.  The
+        # route table is left out: it depends on the queries a run made,
+        # and a copy (``device_neutral``) must not inherit routes through
+        # the original's operators.
         state = self.__dict__.copy()
+        del state["_routes"]
         state["_links"] = sorted(self._links)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._links = set(state["_links"])
+        self._routes = {}
 
     def processors(self) -> list[Operator]:
         return [o for o in self._operators.values() if o.is_processor]
@@ -160,9 +171,20 @@ class ArchitectureGraph:
         return g
 
     def route(self, src: Operator | str, dst: Operator | str) -> Route:
-        """The shortest route (fewest media hops) between two operators."""
-        src_op = self.operator(src if isinstance(src, str) else src.name)
-        dst_op = self.operator(dst if isinstance(dst, str) else dst.name)
+        """The shortest route (fewest media hops) between two operators.
+
+        Each pair is searched once per graph: later queries answer from the
+        route table until the next mutation clears it.
+        """
+        key = (src if isinstance(src, str) else src.name, dst if isinstance(dst, str) else dst.name)
+        route = self._routes.get(key)
+        if route is None:
+            route = self._routes[key] = self._shortest_route(*key)
+        return route
+
+    def _shortest_route(self, src: str, dst: str) -> Route:
+        src_op = self.operator(src)
+        dst_op = self.operator(dst)
         if src_op.name == dst_op.name:
             return Route(src_op, dst_op, ())
         g = self._nx()

@@ -457,6 +457,7 @@ def _cmd_search(args, out) -> int:
         result = report.result
         totals = hub.store("run")
         totals.counter_add("search.evaluations", 0, result.evaluations)
+        totals.counter_add("search.pruned", 0, result.pruned)
         totals.counter_add("search.accepted", 0, result.accepted)
         totals.counter_add("search.improved", 0, result.improved)
         totals.gauge_set("search.best_total_ns", 0, result.best_cost.total_ns)
@@ -497,6 +498,11 @@ def _fleet_slo_rules(args) -> list:
             )
         )
     return rules
+
+
+def _status_stream(args, out):
+    """Where "wrote ..." lines go: stderr under ``--json``, so stdout parses."""
+    return sys.stderr if getattr(args, "json", False) else out
 
 
 def _redraw(out, text: str) -> None:
@@ -596,7 +602,7 @@ def _cmd_fleet(args, out) -> int:
         telemetry_path = pathlib.Path(args.telemetry)
         telemetry_path.parent.mkdir(parents=True, exist_ok=True)
         rows = store.write_jsonl(telemetry_path)
-        print(f"wrote telemetry {telemetry_path} ({rows} rows)", file=out)
+        print(f"wrote telemetry {telemetry_path} ({rows} rows)", file=_status_stream(args, out))
     if args.json:
         payload = {name: report.to_dict() for name, report in reports.items()}
         if monitor is not None and monitor.rules:
@@ -1107,7 +1113,7 @@ def _run_recorded(args, out, raw_argv: list[str], trace_path: Optional[str]) -> 
             print(
                 f"wrote trace {trace_file} ({len(tracer.spans)} spans) "
                 f"and manifest {manifest_path}",
-                file=out,
+                file=_status_stream(args, out),
             )
 
 

@@ -50,11 +50,14 @@ class AlgorithmGraph:
         self._groups: dict[str, ConditionGroup] = {}
         self._in: dict[str, list[Edge]] = {}
         self._out: dict[str, list[Edge]] = {}
+        #: topological order, sorted on first query and dropped by every
+        #: mutation; derived, so never pickled.
+        self._order: list[Operation] | None = None
 
     def __getstate__(self) -> dict:
-        # The adjacency indexes are derived; keep the pickle payload (and
-        # therefore every cached artifact embedding a graph) identical to
-        # the index-free representation.
+        # The adjacency indexes and the cached order are derived; keep the
+        # pickle payload (and therefore every cached artifact embedding a
+        # graph) identical to the index-free representation.
         return {
             "name": self.name,
             "_ops": self._ops,
@@ -65,6 +68,7 @@ class AlgorithmGraph:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._rebuild_adjacency()
+        self._order = None
 
     def _rebuild_adjacency(self) -> None:
         self._in = {}
@@ -79,6 +83,7 @@ class AlgorithmGraph:
         if op.name in self._ops:
             raise ValueError(f"duplicate operation name {op.name!r}")
         self._ops[op.name] = op
+        self._order = None
         return op
 
     def add_operation(self, name: str, kind: str, **params) -> Operation:
@@ -107,6 +112,7 @@ class AlgorithmGraph:
         self._edges.append(edge)
         self._in.setdefault(dst_op.name, []).append(edge)
         self._out.setdefault(src_op.name, []).append(edge)
+        self._order = None
         return edge
 
     def disconnect(self, edge: Edge) -> None:
@@ -117,6 +123,7 @@ class AlgorithmGraph:
             raise KeyError(f"edge {edge} not in graph {self.name!r}") from None
         self._in[edge.dst.name].remove(edge)
         self._out[edge.src.name].remove(edge)
+        self._order = None
 
     def condition_group(
         self, name: str, selector: Operation | str, selector_port: str
@@ -209,13 +216,18 @@ class AlgorithmGraph:
         return nx.is_directed_acyclic_graph(self.to_networkx())
 
     def topological_order(self) -> list[Operation]:
-        """Operations in dependency order (stable across runs)."""
-        g = self.to_networkx()
-        try:
-            order = list(nx.lexicographical_topological_sort(g))
-        except nx.NetworkXUnfeasible:
-            raise ValueError(f"graph {self.name!r} contains a dependency cycle") from None
-        return [self._ops[n] for n in order]
+        """Operations in dependency order (stable across runs).
+
+        Sorted once per graph: later queries copy the cached order until
+        the next mutation drops it.
+        """
+        if self._order is None:
+            try:
+                names = list(nx.lexicographical_topological_sort(self.to_networkx()))
+            except nx.NetworkXUnfeasible:
+                raise ValueError(f"graph {self.name!r} contains a dependency cycle") from None
+            self._order = [self._ops[n] for n in names]
+        return list(self._order)
 
     def exclusive(self, a: Operation, b: Operation) -> bool:
         """True if ``a`` and ``b`` never execute in the same iteration.

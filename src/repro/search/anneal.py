@@ -19,6 +19,12 @@ reproduce identical trajectories bit-for-bit, which
 :meth:`SearchResult.digest` asserts across processes.  Progress emits
 ``repro.obs`` spans (``search:<method>`` / ``search:restart``) and
 counters, and every improvement lands on the best-so-far trajectory.
+
+Every driver asks :meth:`~repro.search.objective.CostEvaluator.lower_bound`
+first and skips the schedule when the bound alone decides the candidate's
+fate.  A skipped candidate still spends one evaluation, and the rules only
+skip what the full price would reject, so the trajectory, the RNG stream
+and the digest are those of pricing every candidate.
 """
 
 from __future__ import annotations
@@ -98,6 +104,9 @@ class SearchResult:
     evaluations: int = 0
     accepted: int = 0
     improved: int = 0
+    #: Evaluations the lower bound decided without pricing (not digested:
+    #: they change the cost, not the outcome).
+    pruned: int = 0
     seed: int = 0
     restarts: int = 1
 
@@ -126,6 +135,7 @@ class SearchResult:
             "evaluations": self.evaluations,
             "accepted": self.accepted,
             "improved": self.improved,
+            "pruned": self.pruned,
             "best_state": self.best_state.key(),
             "best": self.best_cost.to_dict(),
             "trajectory": self.trajectory,
@@ -161,10 +171,12 @@ class _Run:
     """Shared bookkeeping: budget, best-so-far, trajectory, counts.
 
     When an ambient telemetry hub is installed, the run streams a
-    ``search.cost_ns`` sketch of candidate costs over the *evaluation
-    index* axis (the ``search`` domain): a converging search shows as the
-    windowed cost quantiles settling.  The run's counts are facts of the
-    finished :class:`SearchResult` (``repro search`` records them once).
+    ``search.cost_ns`` sketch of priced candidates' costs over the
+    *evaluation index* axis (the ``search`` domain): a converging search
+    shows as the windowed cost quantiles settling.  Pruned candidates have
+    no price, so the sketch holds ``evaluations - pruned`` samples.  The
+    run's counts are facts of the finished :class:`SearchResult`
+    (``repro search`` records them once).
     """
 
     def __init__(self, method: str, evaluator: CostEvaluator, config: SearchConfig):
@@ -174,6 +186,7 @@ class _Run:
         self.evaluations = 0
         self.accepted = 0
         self.improved = 0
+        self.pruned = 0
         self.trajectory: list[tuple[int, float]] = []
         self.best_state: Optional[SearchState] = None
         self.best_cost: Optional[CostBreakdown] = None
@@ -198,6 +211,23 @@ class _Run:
             )
         return cost
 
+    def prune(self) -> None:
+        """Spend one evaluation on a candidate its lower bound decided.
+
+        Every rule prunes only candidates whose bound is at least the best
+        cost, so a pruned candidate could not have improved the best.
+        """
+        self.evaluations += 1
+        self.pruned += 1
+
+    def evaluate_below(self, state: SearchState, cutoff: float) -> Optional[CostBreakdown]:
+        """Price ``state``, or prune it (returning ``None``) when its lower
+        bound is already ``>= cutoff``."""
+        if self.evaluator.lower_bound(state) >= cutoff:
+            self.prune()
+            return None
+        return self.evaluate(state)
+
     def result(self) -> SearchResult:
         assert self.best_state is not None and self.best_cost is not None
         return SearchResult(
@@ -208,6 +238,7 @@ class _Run:
             evaluations=self.evaluations,
             accepted=self.accepted,
             improved=self.improved,
+            pruned=self.pruned,
             seed=self.config.seed,
             restarts=self.config.restarts,
         )
@@ -249,13 +280,20 @@ def anneal(
                     candidate = space.neighbor(current, rng)
                     if candidate == current:
                         break  # move generator is stuck; spend budget elsewhere
-                    cost = run.evaluate(candidate)
-                    delta = cost.total_ns - current_cost.total_ns
-                    if delta <= 0 or rng.random() < math.exp(
-                        -delta / max(temperature, config.min_temperature)
-                    ):
-                        current, current_cost = candidate, cost
-                        run.accepted += 1
+                    scale = max(temperature, config.min_temperature)
+                    # A bound above the current cost makes delta > 0 certain,
+                    # so the Metropolis draw happens whatever the price: draw
+                    # it first, and prune when it rejects even the bound.
+                    bound = evaluator.lower_bound(candidate)
+                    u = rng.random() if bound > current_cost.total_ns else None
+                    if u is not None and u >= math.exp(-(bound - current_cost.total_ns) / scale):
+                        run.prune()
+                    else:
+                        cost = run.evaluate(candidate)
+                        delta = cost.total_ns - current_cost.total_ns
+                        if delta <= 0 or (rng.random() if u is None else u) < math.exp(-delta / scale):
+                            current, current_cost = candidate, cost
+                            run.accepted += 1
                     temperature = max(config.min_temperature, temperature * config.cooling)
     return run.result()
 
@@ -282,8 +320,8 @@ def greedy(
                     candidate = space.neighbor(current, rng)
                     if candidate == current:
                         break
-                    cost = run.evaluate(candidate)
-                    if cost.total_ns < current_cost.total_ns:
+                    cost = run.evaluate_below(candidate, current_cost.total_ns)
+                    if cost is not None and cost.total_ns < current_cost.total_ns:
                         current, current_cost = candidate, cost
                         run.accepted += 1
                         stale = 0
@@ -307,7 +345,7 @@ def random_search(
         while not run.exhausted:
             rng = rngs[index % len(rngs)]
             index += 1
-            run.evaluate(space.random_state(rng))
+            run.evaluate_below(space.random_state(rng), run.best_cost.total_ns)
     return run.result()
 
 

@@ -27,12 +27,17 @@ per-evaluator dict, and — when a content-addressed
 :class:`~repro.flows.pipeline.ArtifactCache` is supplied — a shared tier
 keyed by fingerprint, so repeat evaluations across searches (or across
 processes via the disk tier) are free.
+
+Steps 1, 2 and 4 need no schedule.  :meth:`CostEvaluator.lower_bound` prices
+them alone: the boundary and penalty terms of the total, which can never
+exceed it.  The search drivers skip step 3 whenever that bound already
+decides a candidate's fate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Optional
 
 from repro.aaa.adequation import adequate
 from repro.aaa.mapping import MappingConstraints
@@ -64,6 +69,14 @@ class CostWeights:
     #: shortfall and span overlap scale fractionally).  Dominates every
     #: legitimate makespan so infeasible states always lose to feasible ones.
     penalty_unit_ns: float = 50e6
+
+    def __post_init__(self):
+        # Non-negative weights keep every term of the total >= 0, which is
+        # what makes CostEvaluator.lower_bound a bound.
+        for weight in fields(self):
+            value = getattr(self, weight.name)
+            if not value >= 0.0:
+                raise ValueError(f"weight {weight.name} must be >= 0, got {value}")
 
     def key(self) -> tuple:
         return (self.makespan, self.reconfig_busy, self.boundary, self.penalty_unit_ns)
@@ -121,6 +134,16 @@ class EvaluatorStats:
         }
 
 
+class _Static(NamedTuple):
+    """The part of one state's price that needs no schedule."""
+
+    state_key: str
+    violations: list[str]
+    penalty_units: float
+    reconfig_ns: dict[str, int]
+    boundary_ns: int
+
+
 class CostEvaluator:
     """Memoizing objective over one :class:`SearchSpace`."""
 
@@ -139,6 +162,9 @@ class CostEvaluator:
         self._memo: dict[str, CostBreakdown] = {}
         self._boards: dict[int, Board] = {}
         self._latency_by_span: dict[tuple[int, int], int] = {}
+        #: the static part the last lower_bound() computed, handed to the
+        #: pricing of that same state (one slot, not a second memo)
+        self._static: Optional[_Static] = None
         self._space_fp = fingerprint(
             "search_space",
             fingerprint_graph(space.graph),
@@ -177,6 +203,21 @@ class CostEvaluator:
 
     # -- the objective -----------------------------------------------------------
 
+    def lower_bound(self, state: SearchState) -> float:
+        """A floor on ``evaluate(state).total_ns`` that needs no schedule.
+
+        It is the boundary and penalty terms of the total: the same two
+        products, summed as the total sums its trailing terms.  The terms
+        before them are non-negative, so the bound never exceeds the total,
+        in floating point too.  A memoized state returns its exact total.
+        """
+        hit = self._memo.get(state.key())
+        if hit is not None:
+            return hit.total_ns
+        static = self._static = self._static_part(state)
+        w = self.weights
+        return w.boundary * static.boundary_ns + w.penalty_unit_ns * static.penalty_units
+
     def evaluate(self, state: SearchState) -> CostBreakdown:
         self.stats.requested += 1
         memo_key = state.key()
@@ -197,7 +238,7 @@ class CostEvaluator:
         self._memo[memo_key] = breakdown
         return breakdown
 
-    def _compute(self, state: SearchState) -> CostBreakdown:
+    def _static_part(self, state: SearchState) -> _Static:
         space, device = self.space, self.space.device
         violations: list[str] = []
         penalty_units = 0.0
@@ -237,6 +278,13 @@ class CostEvaluator:
                 reconfig_ns[name] = self.architecture.estimate_latency_ns(
                     -(-device.full_bitstream_bits // 8)
                 )
+        return _Static(state.key(), violations, penalty_units, reconfig_ns, boundary_ns)
+
+    def _compute(self, state: SearchState) -> CostBreakdown:
+        space = self.space
+        static, self._static = self._static, None
+        if static is None or static.state_key != state.key():
+            static = self._static_part(state)
 
         # 3. Scheduling with the state's pins and floorplan-derived latencies.
         board = self._board_for(state.n_regions)
@@ -249,7 +297,7 @@ class CostEvaluator:
             space.library,
             constraints=constraints,
             scheduler=ReconfigAwareScheduler,
-            reconfig_ns=reconfig_ns,
+            reconfig_ns=static.reconfig_ns,
             validate=False,
         )
         makespan_ns = result.makespan_ns
@@ -257,11 +305,12 @@ class CostEvaluator:
         reconfig_busy_ns = sum(r.duration for r in reconfigs)
 
         w = self.weights
-        penalty_ns = w.penalty_unit_ns * penalty_units
+        penalty_ns = w.penalty_unit_ns * static.penalty_units
+        # lower_bound() sums the last two terms alone: keep them last.
         total = (
             w.makespan * makespan_ns
             + w.reconfig_busy * reconfig_busy_ns
-            + w.boundary * boundary_ns
+            + w.boundary * static.boundary_ns
             + penalty_ns
         )
         return CostBreakdown(
@@ -269,10 +318,10 @@ class CostEvaluator:
             total_ns=total,
             makespan_ns=makespan_ns,
             reconfig_busy_ns=reconfig_busy_ns,
-            boundary_cost_ns=boundary_ns,
+            boundary_cost_ns=static.boundary_ns,
             penalty_ns=penalty_ns,
-            penalty_units=penalty_units,
-            violations=tuple(violations),
+            penalty_units=static.penalty_units,
+            violations=tuple(static.violations),
             n_regions=state.n_regions,
             n_reconfigs=len(reconfigs),
         )

@@ -139,6 +139,7 @@ def merge_shard_results(
         evaluations=sum(s.evaluations for s in shards),
         accepted=sum(s.accepted for s in shards),
         improved=len(trajectory),
+        pruned=sum(s.pruned for s in shards),
         seed=config.seed,
         restarts=config.restarts,
     )

@@ -1,5 +1,7 @@
 """Tests for operators, media, architecture graphs and boards."""
 
+import pickle
+
 import pytest
 
 from repro.arch import (
@@ -158,3 +160,60 @@ def test_summary_text():
     board = sundance_board()
     text = board.architecture.summary()
     assert "DSP" in text and "SHB" in text and "IL" in text
+
+
+def route_names(arch, src, dst):
+    return [m.name for m in arch.route(src, dst).media]
+
+
+def test_route_table_stays_out_of_pickles():
+    arch = sundance_board(n_dynamic=2).architecture
+    before = pickle.dumps(arch)
+    first = arch.route("DSP", "D2")
+    assert arch.route("DSP", "D2") is first  # answered from the table
+    arch.route("D1", "D2")
+    assert pickle.dumps(arch) == before
+
+
+def test_device_neutral_after_route_gives_device_blank_routes():
+    arch = sundance_board().architecture
+    assert arch.route("DSP", "D1").src.device == "c6201"
+    neutral = arch.device_neutral()
+    route = neutral.route("DSP", "D1")
+    assert route.src.device == "" and route.dst.device == ""
+    assert route.src is neutral.operator("DSP")
+    assert arch.route("DSP", "D1").src.device == "c6201"
+
+
+def test_every_mutation_refreshes_routes():
+    g = ArchitectureGraph()
+    for name in ("a", "b", "c"):
+        g.add_operator(op(name))
+    g.add_medium(Medium("m1", MediumKind.BUS, 100.0, 100))
+    g.add_medium(Medium("m2", MediumKind.BUS, 100.0, 100))
+    g.connect("a", "m1")
+    g.connect("b", "m1")
+    g.connect("b", "m2")
+    g.connect("c", "m2")
+    assert route_names(g, "a", "c") == ["m1", "m2"]
+    with pytest.raises(ArchitectureError, match="no operator"):
+        g.route("a", "d")
+    g.add_operator(op("d"))
+    with pytest.raises(ArchitectureError, match="no route"):
+        g.route("a", "d")
+    g.add_medium(Medium("direct", MediumKind.BUS, 100.0, 100))
+    assert route_names(g, "a", "c") == ["m1", "m2"]
+    g.connect("a", "direct")
+    g.connect("c", "direct")
+    g.connect("d", "direct")
+    assert route_names(g, "a", "c") == ["direct"]
+    assert route_names(g, "a", "d") == ["direct"]
+
+
+def test_unpickled_architecture_routes_like_the_original():
+    arch = sundance_board(n_dynamic=3).architecture
+    names = [o.name for o in arch.operators]
+    routes = {(s, d): arch.route(s, d) for s in names for d in names}
+    clone = pickle.loads(pickle.dumps(arch))
+    for (s, d), route in routes.items():
+        assert clone.route(s, d) == route

@@ -1,5 +1,7 @@
 """Tests for the algorithm graph, operations and conditioning."""
 
+import pickle
+
 import pytest
 
 from repro.dfg import AlgorithmGraph, GraphValidationError, Operation, WORD32, validate_graph
@@ -207,3 +209,34 @@ def test_summary_mentions_operations():
     g = simple_chain()
     text = g.summary()
     assert "a (generic_small)" in text and "3 operations" in text
+
+
+def order_names(g):
+    return [op.name for op in g.topological_order()]
+
+
+def test_topological_order_is_a_copy_and_stays_out_of_pickles():
+    g = simple_chain()
+    before = pickle.dumps(g)
+    order = g.topological_order()
+    order.reverse()
+    assert order_names(g) == ["a", "b", "c"]
+    assert pickle.dumps(g) == before
+    assert order_names(pickle.loads(before)) == order_names(g)
+
+
+def test_topological_order_follows_every_mutation():
+    g = AlgorithmGraph("m")
+    a = g.add_operation("a", "generic_small")
+    a.add_output("o", WORD32, 4)
+    b = g.add_operation("b", "generic_small")
+    b.add_input("i", WORD32, 4)
+    b.add_output("o", WORD32, 4)
+    assert order_names(g) == ["a", "b"]
+    z = g.add(Operation(name="0", kind="generic_small"))
+    z.add_input("i", WORD32, 4)
+    assert order_names(g) == ["0", "a", "b"]
+    edge = g.connect(b, "o", z, "i")
+    assert order_names(g) == ["a", "b", "0"]
+    g.disconnect(edge)
+    assert order_names(g) == ["0", "a", "b"]

@@ -128,11 +128,11 @@ def test_search_emits_spans_and_metrics(space):
     names = [s.name for s in tracer.spans]
     assert "search:anneal" in names
     assert names.count("search:restart") >= 1
-    # one cost sample per evaluation, windowed over the evaluation index
+    # one cost sample per priced evaluation, windowed over the evaluation index
     store = hub.store("search")
     assert store.clock == "index"
     windows = store.series("search.cost_ns", method="anneal")
-    assert sum(sketch.count for _, sketch in windows) == result.evaluations
+    assert sum(sketch.count for _, sketch in windows) == result.evaluations - result.pruned
     assert min(sketch.min for _, sketch in windows) == result.best_cost.total_ns
     # the counts are the result's to report: the annealer writes no totals
     assert hub.domains() == ["search"]

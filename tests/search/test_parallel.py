@@ -80,7 +80,7 @@ def test_sharded_searched_optimum_not_worse_than_best_fixed():
 # -- merge semantics ---------------------------------------------------------------
 
 
-def fake_shard(total_ns, trajectory, evaluations, accepted=0):
+def fake_shard(total_ns, trajectory, evaluations, accepted=0, pruned=0):
     from repro.search.space import SearchState
     from repro.search.objective import CostBreakdown
 
@@ -104,19 +104,21 @@ def fake_shard(total_ns, trajectory, evaluations, accepted=0):
         trajectory=trajectory,
         evaluations=evaluations,
         accepted=accepted,
+        pruned=pruned,
     )
 
 
 def test_merge_rebases_trajectory_and_keeps_global_improvements_only():
     config = SearchConfig(budget=30, seed=0, restarts=3)
     shards = [
-        fake_shard(100.0, [(1, 120.0), (4, 100.0)], evaluations=10),
+        fake_shard(100.0, [(1, 120.0), (4, 100.0)], evaluations=10, pruned=3),
         fake_shard(110.0, [(2, 110.0)], evaluations=10),  # never a global best
-        fake_shard(90.0, [(1, 95.0), (6, 90.0)], evaluations=10),
+        fake_shard(90.0, [(1, 95.0), (6, 90.0)], evaluations=10, pruned=4),
     ]
     merged = merge_shard_results(shards, config, "anneal")
     assert merged.trajectory == [(1, 120.0), (4, 100.0), (21, 95.0), (26, 90.0)]
     assert merged.evaluations == 30
+    assert merged.pruned == 7
     assert merged.best_cost.total_ns == 90.0
     assert merged.improved == 4
     assert merged.restarts == 3 and merged.seed == 0

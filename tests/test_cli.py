@@ -632,12 +632,37 @@ def test_search_traced_writes_trace_and_manifest(tmp_path):
     result = json.loads(untraced)["result"]
     metrics = json.loads((tmp_path / "search.manifest.json").read_text())["metrics"]
     # each fact counted once, and best-cost values are gauges, not sums
-    for name in ("evaluations", "accepted", "improved"):
+    for name in ("evaluations", "pruned", "accepted", "improved"):
         assert metrics[f"search.{name}"] == {"type": "counter", "value": result[name]}
     assert metrics["search.best_total_ns"] == {
         "type": "gauge", "value": result["best"]["total_ns"],
     }
     assert metrics["search.best_makespan_ns"]["type"] == "gauge"
+
+
+def test_traced_search_json_stdout_parses(tmp_path, capsys):
+    import json
+
+    trace_path = tmp_path / "search.json"
+    code = main(["--trace", str(trace_path), "search", "--budget", "15", "--seed", "0", "--json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["result"]["pruned"] > 0
+    assert "wrote trace" in captured.err
+
+
+def test_fleet_json_with_telemetry_stdout_parses(tmp_path, capsys):
+    import json
+
+    stream = tmp_path / "fleet.jsonl"
+    code = main([
+        "fleet", "--boards", "4", "--requests", "20", "--policy", "lru",
+        "--telemetry", str(stream), "--json",
+    ])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert set(json.loads(captured.out)) == {"lru"}
+    assert f"wrote telemetry {stream}" in captured.err
 
 
 # -- fleet telemetry / dashboard / tail / bench-check ------------------------
