@@ -7,9 +7,8 @@ two operators; the adequation cost model charges each hop.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.arch.media import Medium
 from repro.arch.operator import Operator
@@ -160,21 +159,34 @@ class ArchitectureGraph:
 
     # -- routing ---------------------------------------------------------------------
 
-    def _nx(self) -> nx.Graph:
-        g = nx.Graph()
-        for o in self._operators:
-            g.add_node(o, vertex="operator")
-        for m in self._media:
-            g.add_node(m, vertex="medium")
-        for o, m in self._links:
-            g.add_edge(o, m)
-        return g
+    def _parents(self, src: str) -> dict[str, str | None]:
+        """Breadth-first search from ``src``: every reachable vertex's parent.
+
+        Neighbours are expanded in name order, so the parent chain of any
+        vertex spells, among its fewest-hop paths from ``src``, the one whose
+        vertex-name sequence sorts first.
+        """
+        neighbours: dict[str, list[str]] = {}
+        for o, m in sorted(self._links):
+            neighbours.setdefault(o, []).append(m)
+            neighbours.setdefault(m, []).append(o)
+        parents: dict[str, str | None] = {src: None}
+        queue = deque([src])
+        while queue:
+            vertex = queue.popleft()
+            for n in neighbours.get(vertex, ()):
+                if n not in parents:
+                    parents[n] = vertex
+                    queue.append(n)
+        return parents
 
     def route(self, src: Operator | str, dst: Operator | str) -> Route:
         """The shortest route (fewest media hops) between two operators.
 
-        Each pair is searched once per graph: later queries answer from the
-        route table until the next mutation clears it.
+        Ties go to the path whose vertex-name sequence (operators and media
+        alike, from ``src`` on) sorts first, so the answer depends only on
+        the graph's contents.  Each pair is searched once per graph: later
+        queries answer from the route table until the next mutation clears it.
         """
         key = (src if isinstance(src, str) else src.name, dst if isinstance(dst, str) else dst.name)
         route = self._routes.get(key)
@@ -185,17 +197,18 @@ class ArchitectureGraph:
     def _shortest_route(self, src: str, dst: str) -> Route:
         src_op = self.operator(src)
         dst_op = self.operator(dst)
-        if src_op.name == dst_op.name:
+        if src == dst:
             return Route(src_op, dst_op, ())
-        g = self._nx()
-        try:
-            path = nx.shortest_path(g, src_op.name, dst_op.name)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            raise ArchitectureError(
-                f"no route between {src_op.name!r} and {dst_op.name!r}"
-            ) from None
-        media = tuple(self._media[n] for n in path if n in self._media)
-        return Route(src_op, dst_op, media)
+        parents = self._parents(src)
+        if dst not in parents:
+            raise ArchitectureError(f"no route between {src!r} and {dst!r}")
+        hops = []
+        vertex = parents[dst]
+        while vertex is not None:
+            if vertex in self._media:
+                hops.append(self._media[vertex])
+            vertex = parents[vertex]
+        return Route(src_op, dst_op, tuple(reversed(hops)))
 
     def validate(self) -> None:
         """Check the platform is usable: non-empty and fully connected."""
@@ -208,9 +221,9 @@ class ArchitectureGraph:
                 problems.append(f"medium {m.name!r} connects fewer than two operators")
         ops = list(self._operators)
         if len(ops) > 1:
-            g = self._nx()
+            reached = self._parents(ops[0])
             for other in ops[1:]:
-                if not nx.has_path(g, ops[0], other):
+                if other not in reached:
                     problems.append(f"operator {other!r} unreachable from {ops[0]!r}")
         if problems:
             raise ArchitectureError("; ".join(problems))

@@ -128,10 +128,10 @@ def _run_flow(args) -> "tuple":
     return design, flow.run()
 
 
-def _maybe_profile(args, out) -> None:
+def _maybe_profile(args, out, aggregate: bool = False) -> None:
     """Print the profile of the run's recording when ``--profile`` was given."""
     if args.profile:
-        print(render_profile(get_tracer().spans), file=out)
+        print(render_profile(get_tracer().spans, aggregate=aggregate), file=_status_stream(args, out))
 
 
 def _cmd_flow(args, out) -> int:
@@ -264,8 +264,7 @@ def _cmd_sweep(args, out) -> int:
         sweep_name=f"designspace:{design.graph.name}",
     ) as engine:
         report = engine.run(jobs)
-    if args.profile:
-        print(render_profile(get_tracer().spans, aggregate=True), file=out)
+    _maybe_profile(args, out, aggregate=True)
     if args.json:
         payload = report.to_dict()
         payload["points"] = [
@@ -501,7 +500,7 @@ def _fleet_slo_rules(args) -> list:
 
 
 def _status_stream(args, out):
-    """Where "wrote ..." lines go: stderr under ``--json``, so stdout parses."""
+    """Where the profile and "wrote ..." lines go: stderr under ``--json``, so stdout parses."""
     return sys.stderr if getattr(args, "json", False) else out
 
 

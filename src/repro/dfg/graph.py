@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-
-import networkx as nx
 
 from repro.dfg.conditions import ConditionGroup
 from repro.dfg.operations import Operation
@@ -203,30 +202,37 @@ class AlgorithmGraph:
 
     # -- structure ---------------------------------------------------------------
 
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Lossless export for graph algorithms."""
-        g = nx.MultiDiGraph(name=self.name)
-        for op in self._ops.values():
-            g.add_node(op.name, operation=op)
-        for e in self._edges:
-            g.add_edge(e.src.name, e.dst.name, edge=e, bytes=e.size_bytes)
-        return g
-
     def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.to_networkx())
+        try:
+            self.topological_order()
+        except ValueError:
+            return False
+        return True
 
     def topological_order(self) -> list[Operation]:
         """Operations in dependency order (stable across runs).
 
-        Sorted once per graph: later queries copy the cached order until
-        the next mutation drops it.
+        Kahn's algorithm over a heap: of the operations whose inputs are all
+        ordered, the smallest name goes next, so the order depends only on
+        the graph's contents.  Sorted once per graph: later queries copy the
+        cached order until the next mutation drops it.
         """
         if self._order is None:
-            try:
-                names = list(nx.lexicographical_topological_sort(self.to_networkx()))
-            except nx.NetworkXUnfeasible:
-                raise ValueError(f"graph {self.name!r} contains a dependency cycle") from None
-            self._order = [self._ops[n] for n in names]
+            # Every edge, parallel ones included, holds its target back once.
+            waiting = {name: len(self._in.get(name, ())) for name in self._ops}
+            ready = [name for name, count in waiting.items() if count == 0]
+            heapq.heapify(ready)
+            order = []
+            while ready:
+                name = heapq.heappop(ready)
+                order.append(self._ops[name])
+                for e in self._out.get(name, ()):
+                    waiting[e.dst.name] -= 1
+                    if waiting[e.dst.name] == 0:
+                        heapq.heappush(ready, e.dst.name)
+            if len(order) < len(self._ops):
+                raise ValueError(f"graph {self.name!r} contains a dependency cycle")
+            self._order = order
         return list(self._order)
 
     def exclusive(self, a: Operation, b: Operation) -> bool:

@@ -217,3 +217,53 @@ def test_unpickled_architecture_routes_like_the_original():
     clone = pickle.loads(pickle.dumps(arch))
     for (s, d), route in routes.items():
         assert clone.route(s, d) == route
+
+
+# Two parallel buses join s, r1 and r2, and each relay reaches t over its own
+# link, so s -> r1 has two one-hop routes and s -> t four two-hop routes.
+# Vertices are added against name order: a tie broken by insertion or hash
+# order would show.
+_TIE_SNIPPET = """
+import json
+from repro.arch import ArchitectureGraph, Medium, MediumKind, Operator, OperatorKind
+from repro.arch.boards import Board
+from repro.arch.io import dumps, loads
+from repro.dfg.library import FPGA_CLASS
+
+g = ArchitectureGraph("ties")
+for name in ("t", "r2", "r1", "s"):
+    g.add_operator(Operator(name, OperatorKind.FPGA_STATIC, FPGA_CLASS, 50.0, device="xc2v2000"))
+for name in ("n2", "n1", "m2", "m1"):
+    g.add_medium(Medium(name, MediumKind.BUS, 100.0, 100))
+for o, m in (("r2", "n2"), ("t", "n2"), ("r1", "n1"), ("t", "n1")):
+    g.connect(o, m)
+for m in ("m2", "m1"):
+    for o in ("r2", "r1", "s"):
+        g.connect(o, m)
+loaded = loads(dumps(Board("ties", g))).architecture
+pairs = (("s", "r1"), ("s", "t"), ("t", "s"), ("r2", "r1"))
+print(json.dumps([[[m.name for m in arch.route(a, b).media] for a, b in pairs] for arch in (g, loaded)]))
+"""
+
+
+def test_route_ties_go_to_the_first_name_sequence_under_any_hash_seed():
+    import json
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    expected = [["m1"], ["m1", "n1"], ["n1", "m1"], ["m1"]]
+    for seed in range(4):
+        proc = subprocess.run(
+            [sys.executable, "-c", _TIE_SNIPPET],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": str(src)},
+            check=True,
+            timeout=120,
+        )
+        assert json.loads(proc.stdout) == [expected, expected], f"PYTHONHASHSEED={seed}"

@@ -63,6 +63,18 @@ def test_flow_profile_flag():
     assert "Design flow report" in text  # report still follows the profile
 
 
+@pytest.mark.parametrize("argv", [("flow", "--json"), ("search", "--budget", "15", "--json")])
+def test_profile_json_stdout_parses(argv, capsys):
+    import json
+
+    code = main(["--profile", *argv])
+    captured = capsys.readouterr()
+    assert code == 0
+    json.loads(captured.out)
+    if argv[0] == "flow":
+        assert profile_line(captured.err, "modelisation")[1] == "miss"
+
+
 def test_log_json_flag(tmp_path):
     import json
 
