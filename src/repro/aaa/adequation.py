@@ -64,18 +64,27 @@ def adequate(
     scheduler: Type[ListSchedulerBase] = ReconfigAwareScheduler,
     reconfig_ns: Optional[dict[str, int]] = None,
     validate: bool = True,
+    costs: Optional[CostModel] = None,
     **scheduler_kwargs,
 ) -> AdequationResult:
     """Run the full adequation: validate, schedule, check the result.
 
     ``scheduler`` selects the heuristic (default: the reconfiguration-aware
     extension); ``reconfig_ns`` installs per-region reconfiguration
-    latencies (from the floorplan) into the cost model.
+    latencies (from the floorplan) into the cost model.  A caller that
+    schedules one graph many times hands in its own ``costs`` (latencies
+    included, see :meth:`CostModel.with_latencies`) instead, so the memos
+    and scheduling tables outlive the call.
     """
     if validate:
         validate_graph(graph, library)
         architecture.validate()
-    costs = CostModel(graph, architecture, library, reconfig_ns=reconfig_ns)
+    if costs is None:
+        costs = CostModel(graph, architecture, library, reconfig_ns=reconfig_ns)
+    elif reconfig_ns is not None or (costs.graph, costs.architecture, costs.library) != (
+        graph, architecture, library
+    ):
+        raise ValueError("costs must model graph, architecture and library, and bring its latencies")
     sched_obj = scheduler(costs, constraints, **scheduler_kwargs)
     schedule = sched_obj.run()
     schedule.validate(graph, architecture)

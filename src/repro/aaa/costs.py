@@ -49,17 +49,38 @@ class CostModel:
         self._duration_cache: dict[tuple[str, str], int] = {}
         self._best_duration_cache: dict[str, int] = {}
         self._candidates_cache: dict[str, list[Operator]] = {}
+        #: Scheduling tables that read no latency (tail ranks, the successor
+        #: map, hop lists), filled by the schedulers on first use.  Like the
+        #: memos above they assume a frozen graph and architecture.
+        self.tables: dict[str, object] = {}
 
     def __getstate__(self) -> dict:
         # Memoized lookups are derived state: keep them out of pickled
         # artifacts so the cached bytes do not depend on which queries a
         # particular run happened to make.
         state = self.__dict__.copy()
+        del state["tables"]
         state["_route_cache"] = {}
         state["_duration_cache"] = {}
         state["_best_duration_cache"] = {}
         state["_candidates_cache"] = {}
         return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.tables = {}
+
+    def with_latencies(self, reconfig_ns: Optional[dict[str, int]]) -> "CostModel":
+        """This model with other reconfiguration latencies.
+
+        No memo or scheduling table reads a latency, so the new model shares
+        all of them with this one: a caller that prices many latency sets on
+        one graph and architecture builds them once.
+        """
+        model = object.__new__(type(self))
+        model.__dict__.update(self.__dict__)
+        model.reconfig_ns = dict(reconfig_ns or {})
+        return model
 
     # -- mapping feasibility --------------------------------------------------
 

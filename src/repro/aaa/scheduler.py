@@ -24,6 +24,12 @@ O(n³ log n) over the whole run.  The machinery here is now incremental:
   placements that touch the committed operator, the media its transfers
   used, or the operation itself.
 
+Tables that depend only on the graph and the costs' latency-free lookups —
+tail ranks, the successor map, per-edge hop lists — live in
+:attr:`CostModel.tables <repro.aaa.costs.CostModel.tables>`, so runs on one
+model, or on models :meth:`~repro.aaa.costs.CostModel.with_latencies`
+derives from it, build them once.
+
 Every cached value is a pure function of state that the dirty sets track,
 so the produced schedules are **byte-identical** to the naive reference
 path — pass ``incremental=False`` to any scheduler to get the original
@@ -36,7 +42,7 @@ behave exactly like resident ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import Callable, Hashable, Optional, TypeVar
 
 from repro.aaa.costs import CostModel
 from repro.aaa.mapping import MappingConstraints
@@ -49,6 +55,8 @@ __all__ = ["Placement", "SchedulerStats", "ListSchedulerBase", "SynDExScheduler"
 
 #: Condition key of an operation: ``None`` or ``(group name, case value)``.
 CondKey = Optional[tuple[str, Hashable]]
+
+_T = TypeVar("_T")
 
 
 def _excl(a: CondKey, b: CondKey) -> bool:
@@ -141,6 +149,11 @@ class ListSchedulerBase:
         self._comm_plan: dict[
             tuple[str, str], tuple[tuple[tuple[int, tuple], ...], frozenset[str], int]
         ] = {}
+        #: (consumer name, input port, source operator name, destination
+        #: operator name) -> hop list (per hop: medium, transfer ns,
+        #: condition keys): the part of a communication plan that no
+        #: placement changes.
+        self._hops: dict[tuple[str, str, str, str], tuple[tuple, ...]] = self._table("hops", dict)
         #: operation name -> cached schedule pressure; an entry is valid
         #: exactly while none of the operation's cached placements has been
         #: invalidated (pressure is a pure function of those placements).
@@ -149,6 +162,18 @@ class ListSchedulerBase:
         #: graph is frozen during scheduling, so ranks, ready-list seeding
         #: and selection order can share it.
         self._topo: list[Operation] = self.graph.topological_order()
+
+    def _table(self, name: str, build: Callable[[], _T]) -> _T:
+        """``costs.tables[name]``, built on first use.
+
+        A table here depends only on the graph and the costs' latency-free
+        lookups, so every run on the cost model (or on one derived from it
+        by :meth:`~repro.aaa.costs.CostModel.with_latencies`) shares it.
+        """
+        table = self.costs.tables.get(name)
+        if table is None:
+            table = self.costs.tables[name] = build()
+        return table
 
     # -- naive reference sweeps -------------------------------------------------
     #
@@ -225,22 +250,29 @@ class ListSchedulerBase:
         transfer durations and the condition keys are all constants; the
         only live inputs of a placement evaluation are the medium/operator
         frontiers.  The plan also records the read media (for the dirty-set
-        invalidation) and the execution duration."""
+        invalidation) and the execution duration.  Hop lists depend on no
+        placement time, so they come from the cost model's shared table."""
         entries: list[tuple[int, tuple]] = []
         read_media: set[str] = set()
+        hop_lists = self._hops
         for edge in self.graph.in_edges(op):
             src = self._placed[edge.src.name]
             if src.operator.name == operator.name:
                 entries.append((src.end, ()))
                 continue
-            src_ck = self._cond.get(edge.src.name)
-            dst_ck = self._cond.get(edge.dst.name)
-            size = edge.size_bytes
-            hops = []
-            for hop, medium in enumerate(self.costs.route(src.operator, operator).media):
-                hops.append((edge, medium, medium.name, medium.transfer_ns(size), src_ck, dst_ck, hop))
-                read_media.add(medium.name)
-            entries.append((src.end, tuple(hops)))
+            key = (edge.dst.name, edge.dst_port, src.operator.name, operator.name)
+            hops = hop_lists.get(key)
+            if hops is None:
+                src_ck = self._cond.get(edge.src.name)
+                dst_ck = self._cond.get(edge.dst.name)
+                size = edge.size_bytes
+                built = []
+                for hop, medium in enumerate(self.costs.route(src.operator, operator).media):
+                    built.append((edge, medium, medium.name, medium.transfer_ns(size), src_ck, dst_ck, hop))
+                hops = hop_lists[key] = tuple(built)
+            for entry in hops:
+                read_media.add(entry[2])
+            entries.append((src.end, hops))
         plan = (tuple(entries), frozenset(read_media), self.costs.duration(op, operator))
         self._comm_plan[(op.name, operator.name)] = plan
         return plan
@@ -465,7 +497,7 @@ class ListSchedulerBase:
 
     def run(self) -> Schedule:
         """Schedule every operation; returns the completed schedule."""
-        succs = self._successor_map()
+        succs = self._table("successors", self._successor_map)
         pending = {op.name: op for op in self.graph.operations}
         n_preds = {op.name: 0 for op in self.graph.operations}
         for preds in succs.values():
@@ -513,7 +545,7 @@ class SynDExScheduler(ListSchedulerBase):
         incremental: bool = True,
     ):
         super().__init__(costs, constraints, incremental=incremental)
-        self._tails = self._tail_ranks()
+        self._tails = self._table("tail_ranks", self._tail_ranks)
 
     def _pressure(self, op: Operation) -> int:
         """Schedule pressure: completion of the best placement plus the

@@ -462,6 +462,7 @@ def _cmd_search(args, out) -> int:
         totals.gauge_set("search.best_total_ns", 0, result.best_cost.total_ns)
         totals.gauge_set("search.best_makespan_ns", 0, result.best_cost.makespan_ns)
         totals.gauge_set("search.violations", 0, len(result.best_cost.violations))
+    _maybe_profile(args, out, aggregate=True)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
     else:

@@ -18,7 +18,10 @@ spawned child per restart — the same idiom
 reproduce identical trajectories bit-for-bit, which
 :meth:`SearchResult.digest` asserts across processes.  Progress emits
 ``repro.obs`` spans (``search:<method>`` / ``search:restart``) and
-counters, and every improvement lands on the best-so-far trajectory.
+counters, and every improvement lands on the best-so-far trajectory.  A
+restart span is a row (:mod:`repro.flows.observe`) of flow
+``search:<graph>:<method>`` carrying the restart's evaluations, pruned
+candidates and acceptances, so ``--profile`` and ``--log-json`` show it.
 
 Every driver asks :meth:`~repro.search.objective.CostEvaluator.lower_bound`
 first and skips the schedule when the bound alone decides the candidate's
@@ -32,11 +35,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
+from repro.flows.observe import row_attributes
 from repro.obs import get_tracer
 from repro.obs.telemetry import get_telemetry
 from repro.search.objective import CostBreakdown, CostEvaluator
@@ -220,6 +225,24 @@ class _Run:
         self.evaluations += 1
         self.pruned += 1
 
+    @contextmanager
+    def restart(self, restart: int) -> Iterator[None]:
+        """The ``search:restart`` span of global restart ``restart``, made a
+        row with the evaluations, pruned candidates and acceptances the
+        restart spent."""
+        tracer = get_tracer()
+        before = (self.evaluations, self.pruned, self.accepted)
+        with tracer.span("search:restart", attributes={"restart": restart}) as span:
+            yield
+            if tracer.enabled:
+                metrics = {
+                    "evaluations": self.evaluations - before[0],
+                    "pruned": self.pruned - before[1],
+                    "accepted": self.accepted - before[2],
+                }
+                flow = f"search:{self.evaluator.space.graph.name}:{self.method}"
+                span.attributes.update(row_attributes(flow, metrics))
+
     def evaluate_below(self, state: SearchState, cutoff: float) -> Optional[CostBreakdown]:
         """Price ``state``, or prune it (returning ``None``) when its lower
         bound is already ``>= cutoff``."""
@@ -270,7 +293,7 @@ def anneal(
             if run.evaluations >= limit:
                 continue
             global_restart = config.restart_offset + restart
-            with tracer.span("search:restart", attributes={"restart": global_restart}):
+            with run.restart(global_restart):
                 current = _start_state(space, global_restart, rng)
                 current_cost = run.evaluate(current)
                 temperature = config.initial_temperature
@@ -312,7 +335,7 @@ def greedy(
             if run.evaluations >= limit:
                 continue
             global_restart = config.restart_offset + restart
-            with tracer.span("search:restart", attributes={"restart": global_restart}):
+            with run.restart(global_restart):
                 current = _start_state(space, global_restart, rng)
                 current_cost = run.evaluate(current)
                 stale = 0

@@ -32,6 +32,12 @@ Steps 1, 2 and 4 need no schedule.  :meth:`CostEvaluator.lower_bound` prices
 them alone: the boundary and penalty terms of the total, which can never
 exceed it.  The search drivers skip step 3 whenever that bound already
 decides a candidate's fate.
+
+What does not depend on the candidate is built once per evaluator: one
+board and one base :class:`~repro.aaa.costs.CostModel` per region count
+(each state schedules on :meth:`~repro.aaa.costs.CostModel.with_latencies`
+of it, so durations, routes, tail ranks and hop lists are shared), and the
+region pricing memoized per member tuple, span and region index.
 """
 
 from __future__ import annotations
@@ -40,10 +46,12 @@ from dataclasses import dataclass, fields
 from typing import NamedTuple, Optional
 
 from repro.aaa.adequation import adequate
+from repro.aaa.costs import CostModel
 from repro.aaa.mapping import MappingConstraints
 from repro.aaa.recon_aware import ReconfigAwareScheduler
-from repro.arch.boards import Board, sundance_board
+from repro.arch.boards import sundance_board
 from repro.fabric.busmacro import BusMacroError, boundary_cost, macros_needed
+from repro.fabric.resources import ResourceVector
 from repro.flows.pipeline import ArtifactCache, fingerprint, fingerprint_graph, fingerprint_library
 from repro.reconfig.architectures import ReconfigArchitecture, case_a_standalone
 from repro.search.space import SearchSpace, SearchState
@@ -160,8 +168,18 @@ class CostEvaluator:
         self.cache = cache
         self.stats = EvaluatorStats()
         self._memo: dict[str, CostBreakdown] = {}
-        self._boards: dict[int, Board] = {}
+        #: region count -> cost model of that count's board, without
+        #: latencies: every state of that count schedules on
+        #: CostModel.with_latencies of it
+        self._models: dict[int, CostModel] = {}
         self._latency_by_span: dict[tuple[int, int], int] = {}
+        self._capacity_by_span: dict[tuple[int, int], ResourceVector] = {}
+        #: (members, span) -> capacity shortfall; (region, members, span) ->
+        #: (boundary ns, violations)
+        self._shortfall_memo: dict[tuple[tuple[int, ...], tuple[int, int]], float] = {}
+        self._boundary_memo: dict[
+            tuple[int, tuple[int, ...], tuple[int, int]], tuple[int, tuple[str, ...]]
+        ] = {}
         #: the static part the last lower_bound() computed, handed to the
         #: pricing of that same state (one slot, not a second memo)
         self._static: Optional[_Static] = None
@@ -176,12 +194,13 @@ class CostEvaluator:
 
     # -- plumbing ----------------------------------------------------------------
 
-    def _board_for(self, n_regions: int) -> Board:
-        board = self._boards.get(n_regions)
-        if board is None:
+    def _model_for(self, n_regions: int, reconfig_ns: dict[str, int]) -> CostModel:
+        base = self._models.get(n_regions)
+        if base is None:
             board = sundance_board(n_dynamic=n_regions, device=self.space.device)
-            self._boards[n_regions] = board
-        return board
+            base = CostModel(self.space.graph, board.architecture, self.space.library)
+            self._models[n_regions] = base
+        return base.with_latencies(reconfig_ns)
 
     def _span_latency_ns(self, col0: int, width: int) -> int:
         key = (col0, width)
@@ -257,21 +276,23 @@ class CostEvaluator:
         # 2. Capacity and boundary per region.
         reconfig_ns: dict[str, int] = {}
         boundary_ns = 0
-        for region in range(state.n_regions):
+        members = state.region_ops()
+        for region, span in enumerate(state.placements):
             name = space.region_name(region)
-            col0, width = state.placements[region]
+            col0, width = span
             span_ok = width > 0 and 0 <= col0 and col0 + width <= device.clb_cols
             if span_ok:
-                need = space.region_need(state, region)
-                cap = device.column_span_capacity(col0, width)
-                shortfall = self._shortfall(need, cap)
+                ops = tuple(members[region])
+                shortfall = self._span_shortfall(ops, span)
                 if shortfall > 0.0:
                     violations.append(
                         f"region {name}: variants exceed span capacity by {shortfall:.0%}"
                     )
                     penalty_units += 1.0 + shortfall
                 reconfig_ns[name] = self._span_latency_ns(col0, width)
-                boundary_ns += self._boundary_ns(state, region, violations=violations)
+                cost_ns, messages = self._boundary(region, ops, span)
+                violations.extend(messages)
+                boundary_ns += cost_ns
             else:
                 # Degenerate span: price a full-device reconfiguration and
                 # let the structural violation carry the penalty.
@@ -287,18 +308,18 @@ class CostEvaluator:
             static = self._static_part(state)
 
         # 3. Scheduling with the state's pins and floorplan-derived latencies.
-        board = self._board_for(state.n_regions)
+        costs = self._model_for(state.n_regions, static.reconfig_ns)
         constraints = MappingConstraints()
         for op_idx, region in enumerate(state.assign):
             constraints.pin(space.movable_ops[op_idx], space.region_name(region))
         result = adequate(
             space.graph,
-            board.architecture,
+            costs.architecture,
             space.library,
             constraints=constraints,
             scheduler=ReconfigAwareScheduler,
-            reconfig_ns=static.reconfig_ns,
             validate=False,
+            costs=costs,
         )
         makespan_ns = result.makespan_ns
         reconfigs = result.schedule.reconfigs
@@ -328,30 +349,53 @@ class CostEvaluator:
 
     # -- pieces ------------------------------------------------------------------
 
-    def _boundary_ns(self, state: SearchState, region: int, violations: list[str]) -> int:
+    def _span_shortfall(self, members: tuple[int, ...], span: tuple[int, int]) -> float:
+        key = (members, span)
+        shortfall = self._shortfall_memo.get(key)
+        if shortfall is None:
+            capacity = self._capacity_by_span.get(span)
+            if capacity is None:
+                capacity = self.space.device.column_span_capacity(*span)
+                self._capacity_by_span[span] = capacity
+            shortfall = self._shortfall(self.space.region_need(members), capacity)
+            self._shortfall_memo[key] = shortfall
+        return shortfall
+
+    def _boundary(
+        self, region: int, members: tuple[int, ...], span: tuple[int, int]
+    ) -> tuple[int, tuple[str, ...]]:
+        """The boundary's price and the violations it raises (they name the
+        region, hence the region index in the memo key)."""
+        key = (region, members, span)
+        priced = self._boundary_memo.get(key)
+        if priced is None:
+            priced = self._boundary_memo[key] = self._price_boundary(region, members, span)
+        return priced
+
+    def _price_boundary(
+        self, region: int, members: tuple[int, ...], span: tuple[int, int]
+    ) -> tuple[int, tuple[str, ...]]:
         space, device = self.space, self.space.device
-        col0, width = state.placements[region]
-        bits_in, bits_out = space.region_boundary_bits(state, region)
+        col0, width = span
+        bits_in, bits_out = space.region_boundary_bits(members)
         if col0 > 0:
             column = col0
         elif col0 + width < device.clb_cols:
             column = col0 + width
         else:
-            violations.append(
-                f"region {space.region_name(region)} covers the whole device; no static boundary"
+            return 0, (
+                f"region {space.region_name(region)} covers the whole device; no static boundary",
             )
-            return 0
         try:
             cost = boundary_cost(device, column, bits_in, bits_out)
         except BusMacroError as err:
-            violations.append(str(err))
-            return 0
+            return 0, (str(err),)
         if macros_needed(bits_in) + macros_needed(bits_out) > device.clb_rows:
-            violations.append(
+            return cost.cost_ns, (
                 f"region {space.region_name(region)}: {cost.macros} bus macros exceed "
-                f"device height {device.clb_rows}"
+                f"device height {device.clb_rows}",
             )
-        return cost.cost_ns
+        return cost.cost_ns, ()
 
     def _overlap_columns(self, state: SearchState) -> int:
         total = 0

@@ -105,6 +105,9 @@ class SearchSpace:
             raise ValueError("max_regions must be >= 1")
 
         synthesizer = Synthesizer(library)
+        #: movable-op member tuple -> worst-case need / boundary bits
+        self._need_memo: dict[tuple[int, ...], ResourceVector] = {}
+        self._bits_memo: dict[tuple[int, ...], tuple[int, int]] = {}
         self._op_need: dict[str, ResourceVector] = {}
         self._op_bits: dict[str, tuple[int, int]] = {}
         for name in self.movable_ops:
@@ -121,24 +124,33 @@ class SearchSpace:
 
     # -- derived per-state quantities --------------------------------------------
 
-    def region_need(self, state: SearchState, region: int) -> ResourceVector:
-        """Worst-case variant requirement of ``region`` (margin applied)."""
-        worst = ResourceVector()
-        for op_idx in state.region_ops()[region]:
-            need = self._op_need[self.movable_ops[op_idx]]
-            worst = ResourceVector(
-                **{k: max(getattr(worst, k), getattr(need, k)) for k in need.as_dict()}
-            )
+    def region_need(self, members: tuple[int, ...]) -> ResourceVector:
+        """Worst-case variant requirement (margin applied) of a region
+        hosting the movable ops ``members`` (its entry of
+        :meth:`SearchState.region_ops`, as a tuple); memoized per tuple."""
+        worst = self._need_memo.get(members)
+        if worst is None:
+            worst = ResourceVector()
+            for op_idx in members:
+                need = self._op_need[self.movable_ops[op_idx]]
+                worst = ResourceVector(
+                    **{k: max(getattr(worst, k), getattr(need, k)) for k in need.as_dict()}
+                )
+            self._need_memo[members] = worst
         return worst
 
-    def region_boundary_bits(self, state: SearchState, region: int) -> tuple[int, int]:
-        """Worst-case (bits_in, bits_out) crossing the region's boundary."""
-        bits_in = bits_out = 0
-        for op_idx in state.region_ops()[region]:
-            i, o = self._op_bits[self.movable_ops[op_idx]]
-            bits_in = max(bits_in, i)
-            bits_out = max(bits_out, o)
-        return bits_in, bits_out
+    def region_boundary_bits(self, members: tuple[int, ...]) -> tuple[int, int]:
+        """Worst-case (bits_in, bits_out) crossing the boundary of a region
+        hosting the movable ops ``members``; memoized per tuple."""
+        bits = self._bits_memo.get(members)
+        if bits is None:
+            bits_in = bits_out = 0
+            for op_idx in members:
+                i, o = self._op_bits[self.movable_ops[op_idx]]
+                bits_in = max(bits_in, i)
+                bits_out = max(bits_out, o)
+            bits = self._bits_memo[members] = (bits_in, bits_out)
+        return bits
 
     def floorplan_of(self, state: SearchState) -> Floorplan:
         """The state's floorplan with placements injected verbatim.
@@ -193,9 +205,8 @@ class SearchSpace:
         state = self.canonical(assign, [(0, MIN_WIDTH_CLB)] * k)
         placements: list[tuple[int, int]] = [None] * state.n_regions
         next_end = self.device.clb_cols
-        for region in range(state.n_regions):
-            need = self.region_need(state, region)
-            col0, width = self._pack_fit(need, next_end)
+        for region, members in enumerate(state.region_ops()):
+            col0, width = self._pack_fit(self.region_need(tuple(members)), next_end)
             placements[region] = (col0, width)
             next_end = col0
         return SearchState(assign=state.assign, placements=tuple(placements))
@@ -265,9 +276,8 @@ class SearchSpace:
         """Partition layer: move one operation to another existing region."""
         if state.n_regions < 2:
             return None
-        candidates = [
-            i for i, r in enumerate(state.assign) if len(state.region_ops()[r]) > 1
-        ]
+        members = state.region_ops()
+        candidates = [i for i, r in enumerate(state.assign) if len(members[r]) > 1]
         if not candidates:
             return None
         op_idx = candidates[int(rng.integers(0, len(candidates)))]
@@ -282,9 +292,8 @@ class SearchSpace:
         """Partition layer: carve a new region for one operation."""
         if state.n_regions >= self.max_regions:
             return None
-        crowded = [
-            i for i, r in enumerate(state.assign) if len(state.region_ops()[r]) > 1
-        ]
+        members = state.region_ops()
+        crowded = [i for i, r in enumerate(state.assign) if len(members[r]) > 1]
         if not crowded:
             return None
         op_idx = crowded[int(rng.integers(0, len(crowded)))]

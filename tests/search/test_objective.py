@@ -2,13 +2,21 @@
 
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.dfg.generators import multiregion_graph
+from repro.aaa import adequate
+from repro.dfg.generators import conditioned_chain_graph, multiregion_graph
 from repro.dfg.library import default_library
+from repro.fabric.device import XC2V1000, XC2V2000, XC2V3000
 from repro.flows.pipeline import ArtifactCache
-from repro.reconfig.architectures import case_b_processor
-from repro.search import CostEvaluator, CostWeights, SearchSpace, SearchState
+from repro.reconfig.architectures import case_a_standalone, case_b_processor
+from repro.search import CostEvaluator, CostWeights, SearchConfig, SearchSpace, SearchState, run_search
+from repro.search import objective
+
+LIBRARY = default_library()
 
 
 @pytest.fixture(scope="module")
@@ -135,3 +143,91 @@ def test_whole_device_span_has_no_boundary(space):
     cost = ev.evaluate(whole)
     assert any("whole device" in v for v in cost.violations)
     assert cost.boundary_cost_ns == 0
+
+
+#: multi-group graphs, and one-group chains whose alternatives differ in size
+search_graphs = st.one_of(
+    st.builds(multiregion_graph, n_groups=st.integers(1, 3), alternatives=st.integers(2, 3)),
+    st.builds(conditioned_chain_graph, length=st.integers(3, 5), alternatives=st.integers(2, 4)),
+)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    graph=search_graphs,
+    device=st.sampled_from((XC2V1000, XC2V2000, XC2V3000)),
+    architecture=st.sampled_from((case_a_standalone, case_b_processor)),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_one_evaluator_prices_like_fresh_ones(graph, device, architecture, seed):
+    """An evaluator's shared cost models and region-pricing memos give every
+    state the bound and price a fresh evaluator over a fresh space gives it,
+    violation strings included."""
+    max_regions = min(5, sum(op.is_conditioned for op in graph.operations))
+    space = SearchSpace(graph, LIBRARY, device=device, max_regions=max_regions)
+    shared = CostEvaluator(space, architecture())
+    rng = np.random.default_rng(seed)
+    state = space.random_state(rng)
+    states = []
+    for _ in range(30):
+        states.append(state)
+        state = space.neighbor(state, rng)
+    n, cols = len(space.movable_ops), device.clb_cols
+    rest = [1] * (n - 1)
+    states += [
+        space.canonical([i % 2 for i in range(n)], [(10, 6), (12, 6)]),
+        space.canonical([0] * n, [(0, cols)]),
+        # one span, priced for all members and then for one
+        space.canonical([0] * n, [(0, 2)]),
+        space.canonical([0] + rest, [(0, 2), (20, 2)]),
+        space.canonical([i % 2 for i in range(n)], [(10, 0), (20, 2)]),
+        # the same members covering the device as region D2, then as D3
+        space.canonical([0, 0] + [1] * (n - 2), [(10, 2), (0, cols)]),
+        space.canonical([0, 1] + [2] * (n - 2), [(10, 2), (20, 2), (0, cols)]),
+    ]
+    seen = set()
+    for state in states:
+        fresh_space = SearchSpace(graph, LIBRARY, device=device, max_regions=max_regions)
+        fresh = CostEvaluator(fresh_space, architecture())
+        if state.key() not in seen:
+            assert shared.lower_bound(state) == fresh.lower_bound(state), state
+        seen.add(state.key())
+        assert shared.evaluate(state) == fresh.evaluate(state), state
+
+
+def test_priced_state_pickles_like_a_fresh_model(space, monkeypatch):
+    """Once a search has filled an evaluator's shared tables, a priced
+    state's result pickles byte for byte like one from a fresh model: the
+    model's state keeps its eight keys, memos empty."""
+    priced = []
+
+    def recording(*args, **kwargs):
+        result = adequate(*args, **kwargs)
+        priced.append((args, kwargs, result))
+        return result
+
+    monkeypatch.setattr(objective, "adequate", recording)
+    run_search(space, CostEvaluator(space), SearchConfig(budget=40, seed=1))
+    args, kwargs, result = priced[-1]
+    model = result.costs
+    assert model.tables["hops"] and model._duration_cache
+    state = model.__getstate__()
+    assert list(state) == [
+        "graph",
+        "architecture",
+        "library",
+        "reconfig_ns",
+        "_route_cache",
+        "_duration_cache",
+        "_best_duration_cache",
+        "_candidates_cache",
+    ]
+    assert state["reconfig_ns"] and all(value == {} for value in list(state.values())[4:])
+    fresh = adequate(
+        *args,
+        constraints=kwargs["constraints"],
+        scheduler=kwargs["scheduler"],
+        reconfig_ns=dict(model.reconfig_ns),
+        validate=False,
+    )
+    assert pickle.dumps(result) == pickle.dumps(fresh)

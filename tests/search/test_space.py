@@ -1,9 +1,11 @@
 """Tests for the search-state encoding and move generator."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.dfg.generators import multiregion_graph
+from repro.dfg.generators import conditioned_chain_graph, multiregion_graph
 from repro.dfg.library import default_library
 from repro.fabric.device import XC2V1000, XC2V2000
 from repro.fabric.floorplan import MIN_WIDTH_CLB, WIDTH_STEP_CLB
@@ -127,17 +129,30 @@ def test_move_kinds_vocabulary():
 
 def test_region_need_is_worst_case_over_members(space):
     state = space.initial_state()
-    need = space.region_need(state, 0)
+    need = space.region_need(tuple(state.region_ops()[0]))
     singles = [space._op_need[space.movable_ops[i]] for i in state.region_ops()[0]]
     for field_name, value in need.as_dict().items():
         assert value == max(getattr(s, field_name) for s in singles)
+
+
+def test_member_memos_answer_for_their_own_members():
+    space = SearchSpace(conditioned_chain_graph(5, 3), default_library())
+    # the generated alternatives share port widths: give them distinct ones
+    space._op_bits.update({"alt0": (8, 1), "alt1": (1, 16), "alt2": (4, 4)})
+    subsets = [m for k in (1, 2, 3) for m in itertools.combinations(range(3), k)]
+    for members in subsets + subsets[::-1]:
+        needs = [space._op_need[space.movable_ops[i]].as_dict() for i in members]
+        worst = {key: max(need[key] for need in needs) for key in needs[0]}
+        assert space.region_need(members).as_dict() == worst
+        bits = [space._op_bits[space.movable_ops[i]] for i in members]
+        assert space.region_boundary_bits(members) == (max(b[0] for b in bits), max(b[1] for b in bits))
 
 
 def test_boundary_bits_count_wires_not_tokens(space):
     # Each generic alternative has one 32-bit input and one 32-bit output
     # port (16 tokens each); the boundary crossing is the wire width.
     state = space.initial_state()
-    bits_in, bits_out = space.region_boundary_bits(state, 0)
+    bits_in, bits_out = space.region_boundary_bits(tuple(state.region_ops()[0]))
     assert bits_in == 32
     assert bits_out == 32
 

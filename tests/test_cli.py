@@ -663,6 +663,33 @@ def test_traced_search_json_stdout_parses(tmp_path, capsys):
     assert "wrote trace" in captured.err
 
 
+@pytest.mark.parametrize("jobs", ["0", "2"])
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_search_profile_shows_restart_rows(jobs, json_mode, tmp_path, capsys):
+    import json
+
+    rows_path = tmp_path / "rows.jsonl"
+    argv = ["--profile", "--log-json", str(rows_path), "search", "--budget", "15", "--jobs", jobs]
+    out = io.StringIO()
+    code = main(argv + ["--json"] * json_mode, out=out)
+    captured = capsys.readouterr()
+    assert code == 0
+    if json_mode:
+        result = json.loads(out.getvalue())["result"]
+        table = captured.err
+    else:
+        table = out.getvalue()
+        assert table.index("search:restart") < table.index("search report")
+    assert profile_line(table, "search:restart")[1] == "2"
+    rows = [json.loads(line) for line in rows_path.read_text().splitlines()]
+    assert rows and all(set(row) == ROW_KEYS for row in rows)
+    restarts = [row for row in rows if row["stage"] == "search:restart"]
+    assert [row["flow"] for row in restarts] == ["search:multiregion2x2:anneal"] * 2
+    if json_mode:
+        for name in ("evaluations", "pruned", "accepted"):
+            assert sum(row["metrics"][name] for row in restarts) == result[name]
+
+
 def test_fleet_json_with_telemetry_stdout_parses(tmp_path, capsys):
     import json
 
