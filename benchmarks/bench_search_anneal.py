@@ -14,8 +14,9 @@ This benchmark regenerates the acceptance evidence:
   SeedSequence plumbing fails the build.
 
 Set ``SEARCH_SMOKE=1`` (CI) for a tiny-budget run (<30 s); assertions are
-identical in both modes.  Writes ``BENCH_search_anneal.json`` (full) or
-``BENCH_search_anneal_smoke.json`` (smoke) plus ``search_frontier.txt``.
+identical in both modes.  Writes ``BENCH_search_anneal.json``,
+``search_frontier.txt`` and ``search_baselines.txt`` (full), or the same
+names with a ``_smoke`` suffix, which are not committed (smoke).
 """
 
 import os
@@ -57,7 +58,7 @@ def test_anneal_beats_or_matches_the_fixed_sweep():
 
     assert report.searched.total_ns <= report.best_fixed_cost_ns
     assert report.gain <= 1.0
-    write_result("search_frontier", report.render())
+    write_result("search_frontier_smoke" if SMOKE else "search_frontier", report.render())
 
     payload = {
         "smoke": SMOKE,
@@ -102,7 +103,7 @@ def test_anneal_is_no_worse_than_greedy_and_random():
             f"{method:<8} {result.best_cost.total_ns / 1e3:>10.1f} "
             f"{result.evaluations:>6} {str(result.best_cost.feasible):>9}"
         )
-    write_result("search_baselines", "\n".join(lines))
+    write_result("search_baselines_smoke" if SMOKE else "search_baselines", "\n".join(lines))
 
 
 def test_search_is_deterministic_across_runs():

@@ -25,7 +25,8 @@ must hit >= 2.0x with 4 workers and the warm 6-job grid >= 0.8x of serial;
 on smaller hosts (including 1-core CI fallbacks) the floor relaxes to
 ``0.7 * min(workers, cores)`` and the 6-job ratio is recorded, not
 asserted.  Set ``SWEEP_SMOKE=1`` (CI) for reduced frame counts; results
-land in ``results/BENCH_sweep_parallel.json`` (or ``..._smoke.json``).
+land in ``results/BENCH_sweep_parallel.json`` and ``sweep_parallel.txt``
+(or the uncommitted ``..._smoke`` pair).
 """
 
 import os
@@ -208,4 +209,4 @@ def test_parallel_sweep_vs_serial(tmp_path):
             f"{row['warm_pool_wall_s']:6.2f}  "
             f"{row.get('speedup', row.get('warm_ratio_vs_serial')):7.2f}"
         )
-    write_result("sweep_parallel", "\n".join(lines))
+    write_result("sweep_parallel_smoke" if SMOKE else "sweep_parallel", "\n".join(lines))

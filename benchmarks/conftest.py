@@ -39,7 +39,11 @@ exclusive = mod_qpsk, mod_qam16
 
 
 def write_result(name: str, text: str) -> None:
-    """Persist a reproduced table/series and echo it to stdout."""
+    """Persist a reproduced table/series and echo it to stdout.
+
+    A smoke run passes a ``<name>_smoke`` name: ``.gitignore`` keeps those
+    tables out of the repository, so the committed full-scale table stays.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")

@@ -48,7 +48,7 @@ class CostModel:
         # objects from cache-round-tripped equal copies.
         self._duration_cache: dict[tuple[str, str], int] = {}
         self._best_duration_cache: dict[str, int] = {}
-        self._candidates_cache: dict[str, list[Operator]] = {}
+        self._candidates_cache: dict[str, tuple[Operator, ...]] = {}
         #: Scheduling tables that read no latency (tail ranks, the successor
         #: map, hop lists), filled by the schedulers on first use.  Like the
         #: memos above they assume a frozen graph and architecture.
@@ -98,13 +98,13 @@ class CostModel:
             return False
         return True
 
-    def candidates(self, op: Operation) -> list[Operator]:
+    def candidates(self, op: Operation) -> tuple[Operator, ...]:
         """All operators that can host ``op`` (memoized per operation name)."""
         cached = self._candidates_cache.get(op.name)
         if cached is None:
-            cached = [p for p in self.architecture.operators if self.can_map(op, p)]
+            cached = tuple(p for p in self.architecture.operators if self.can_map(op, p))
             self._candidates_cache[op.name] = cached
-        return list(cached)
+        return cached
 
     # -- durations ----------------------------------------------------------------
 

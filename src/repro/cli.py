@@ -449,7 +449,6 @@ def _cmd_search(args, out) -> int:
         seed=args.seed,
         restarts=args.restarts,
         max_regions=args.max_regions,
-        jobs=args.jobs,
     )
     hub = get_telemetry()
     if hub is not None:
@@ -896,11 +895,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument(
         "--restarts", type=int, default=2,
         help="independent restarts sharing the budget (default: 2)",
-    )
-    p_search.add_argument(
-        "--jobs", type=int, default=0,
-        help="shard restarts over this many pooled workers "
-        "(default: 0 = in-process)",
     )
     p_search.add_argument(
         "--groups", type=int, default=2,

@@ -24,7 +24,9 @@ the engine's tracer (see :mod:`repro.flows.observe`).
 from repro.exec.locks import FileLock, atomic_write_bytes
 from repro.exec.worker import SweepJob, run_job, resolve_entrypoint
 from repro.exec.pool import WorkerPool, PoolWorker
-from repro.exec.engine import SWEEP_EVENT_KINDS, ParallelSweepEngine, SweepJobResult, SweepReport
+from repro.exec.engine import (
+    SWEEP_EVENT_KINDS, ParallelSweepEngine, SweepJobResult, SweepReport, WorkerStartupError,
+)
 
 __all__ = [
     "FileLock",
@@ -38,4 +40,5 @@ __all__ = [
     "ParallelSweepEngine",
     "SweepJobResult",
     "SweepReport",
+    "WorkerStartupError",
 ]

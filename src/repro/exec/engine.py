@@ -11,7 +11,7 @@ The engine owns the scheduler:
 - **warm pool** — workers spawn once (paying process start + full ``repro``
   import cost exactly once) and serve jobs across every ``run()`` call of
   the engine's life; pass ``pool=`` to share one pool across engines
-  (design-space, link-level and search-restart sweeps all accept it);
+  (design-space and link-level sweeps accept it);
 - **pull-based dispatch** — jobs wait in one shared pending deque and flow
   to whichever worker frees up first; no worker ever owns a static shard,
   so one slow job cannot idle the other cores behind it (work stealing
@@ -29,8 +29,11 @@ The engine owns the scheduler:
   out ``retries`` times before it is recorded as failed; each retry waits
   ``backoff_s * 2**(attempt-1)``;
 - **graceful degradation** — a crashed or hung worker fails only the job
-  it was running; the sweep always completes and reports partial results,
-  and the pool stays warm (dead workers are respawned).
+  it was running; the sweep completes and reports partial results, and
+  the pool stays warm (dead workers are respawned).  The one exception is
+  a spawn environment that cannot start workers at all:
+  :data:`MAX_STILLBORN_WORKERS` workers in a row that die before reporting
+  ready fail the run with :class:`WorkerStartupError`.
 
 Under a recording tracer the engine narrates its own lifecycle as
 ``sweep:<kind>`` row spans (one per job dispatched/started/finished/
@@ -66,7 +69,7 @@ from repro.flows.pipeline import ArtifactCache, CacheStats
 from repro.obs import NOOP_TRACER, Span, get_tracer
 from repro.obs.telemetry import get_telemetry, store_row
 
-__all__ = ["SWEEP_EVENT_KINDS", "SweepJobResult", "SweepReport", "ParallelSweepEngine"]
+__all__ = ["SWEEP_EVENT_KINDS", "SweepJobResult", "SweepReport", "ParallelSweepEngine", "WorkerStartupError"]
 
 #: Every lifecycle kind the engine narrates (as ``sweep:<kind>`` row spans).
 SWEEP_EVENT_KINDS = (
@@ -82,6 +85,13 @@ SWEEP_EVENT_KINDS = (
     "pool_reused",
     "sweep_completed",
 )
+
+#: Workers in a row that may die before reporting ready before a run fails.
+MAX_STILLBORN_WORKERS = 8
+
+
+class WorkerStartupError(RuntimeError):
+    """Pool workers keep dying before they report ready, so no job can run."""
 
 
 @dataclass
@@ -371,7 +381,8 @@ class ParallelSweepEngine:
     # -- the parallel scheduler -------------------------------------------------
 
     def run(self, jobs: Sequence[SweepJob]) -> SweepReport:
-        """Run every job; always returns a complete :class:`SweepReport`."""
+        """Run every job and return a complete :class:`SweepReport`, unless
+        pool workers keep dying before ready (:class:`WorkerStartupError`)."""
         ids = [job.job_id for job in jobs]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate job ids: {ids}")
@@ -468,7 +479,7 @@ class ParallelSweepEngine:
             pending.extendleft((e.job, e.attempt) for e in reversed(orphans))
 
         def lose_worker(
-            handle: PoolWorker, reason: str, *, kill: bool, fail_unstarted_head: bool = True
+            handle: PoolWorker, reason: str, fail_unstarted_head: bool = True
         ) -> None:
             """Crash/timeout path: fail the running job, requeue the rest.
 
@@ -483,7 +494,25 @@ class ParallelSweepEngine:
                 wall = now - (head.started_at if head.started_at is not None else head.head_since)
                 fail_attempt(head, reason, wall, handle.worker_id)
             requeue_unstarted(handle)
-            pool.discard(handle, kill=kill)
+            pool.discard(handle, kill=True)
+
+        stillborn = 0  # workers in a row that died before reporting ready
+
+        def lose_crashed(handle: PoolWorker, reason: str) -> None:
+            """A worker's pipe broke.  Dying before ready is a spawn failure: it
+            costs the head job an attempt, and enough in a row fail the run."""
+            nonlocal stillborn
+            if not handle.ready:
+                stillborn += 1
+            lose_worker(handle, reason, fail_unstarted_head=not handle.ready)
+            if stillborn >= MAX_STILLBORN_WORKERS:
+                raise WorkerStartupError(
+                    f"{stillborn} workers in a row died before reporting ready.  "
+                    "The spawn start method re-imports __main__ in every worker: "
+                    "guard the calling script's entry point with "
+                    "`if __name__ == \"__main__\":` and run it from a file, not "
+                    "from stdin"
+                ) from None
 
         def dispatch() -> None:
             now = monotonic()
@@ -531,10 +560,7 @@ class ParallelSweepEngine:
                     self._emit(
                         "worker_crashed", worker=wid, detail="dispatch pipe closed"
                     )
-                    lose_worker(
-                        handle, "worker crashed (dispatch pipe closed)",
-                        kill=True, fail_unstarted_head=not handle.ready,
-                    )
+                    lose_crashed(handle, "worker crashed (dispatch pipe closed)")
                     continue
                 handle.queue.extend(entries)
                 for entry in entries:
@@ -601,17 +627,12 @@ class ParallelSweepEngine:
                         detail="connection lost",
                         job=handle.queue[0].job.job_id if handle.queue else "",
                     )
-                    # A worker that died before ever reporting ready is a
-                    # systemic spawn failure: consume the head attempt so
-                    # bounded retry terminates instead of respawning forever.
-                    lose_worker(
-                        handle, "worker crashed (connection lost)",
-                        kill=True, fail_unstarted_head=not handle.ready,
-                    )
+                    lose_crashed(handle, "worker crashed (connection lost)")
                     continue
                 kind = message[0]
                 if kind == "ready":
                     handle.ready = True
+                    stillborn = 0
                     continue
                 if kind == "started":
                     _, job_id, attempt = message
@@ -634,7 +655,6 @@ class ParallelSweepEngine:
                     entry = handle.queue.popleft()
                     if handle.queue:
                         handle.queue[0].head_since = monotonic()
-                    handle.jobs_done += 1
                     if tracer.enabled:
                         entry.span.set_attribute("fits", payload.get("fits"))
                     entry.span.end()
@@ -680,9 +700,7 @@ class ParallelSweepEngine:
                         attempt=head.attempt, wall_time_s=wall,
                         detail=f"exceeded {self.timeout_s} s",
                     )
-                    lose_worker(
-                        handle, f"timed out after {self.timeout_s} s", kill=True
-                    )
+                    lose_worker(handle, f"timed out after {self.timeout_s} s")
         return results
 
     def _finish(

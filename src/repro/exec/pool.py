@@ -10,9 +10,9 @@ than serial on a small grid" into "overhead amortized away":
 - the pool is *passive*: it spawns, tracks, respawns and stops worker
   processes, but never schedules work — the engine owns the pending deque
   and the dispatch policy (see ``exec/engine.py``);
-- one pool may be shared across engines (design-space sweeps, link-level
-  SNR sharding, search-restart sharding all accept ``pool=``), but only
-  one engine run may borrow it at a time (:meth:`acquire`/:meth:`release`
+- one pool may be shared across engines (design-space sweeps and
+  link-level SNR sharding accept ``pool=``), but only one engine run may
+  borrow it at a time (:meth:`acquire`/:meth:`release`
   enforce this — the pipes carry per-run protocol state);
 - a worker that crashes or is killed for a hung job is *replaced* into the
   warm pool by the engine (:meth:`spawn` again), so one bad job never
@@ -56,14 +56,13 @@ class PoolWorker:
     the engine owns its contents during a run.
     """
 
-    __slots__ = ("worker_id", "process", "conn", "queue", "jobs_done", "ready")
+    __slots__ = ("worker_id", "process", "conn", "queue", "ready")
 
     def __init__(self, worker_id: int, process, conn):
         self.worker_id = worker_id
         self.process = process
         self.conn = conn
         self.queue: deque = deque()  # engine-owned in-flight entries, FIFO
-        self.jobs_done = 0
         #: True once the worker reported its imports complete.  A worker
         #: that dies *before* ready is a systemic failure (broken spawn
         #: environment): the engine must consume job attempts for it, or a

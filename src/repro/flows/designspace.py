@@ -138,60 +138,36 @@ def search_multiregion(
     seed: int = 0,
     restarts: int = 2,
     max_regions: Optional[int] = None,
-    cache: Optional[ArtifactCache] = None,
     jobs: int = 0,
-    pool=None,
 ) -> SearchReport:
     """Co-optimize partitioning, region count and floorplan for ``graph``.
 
     Evaluates the deterministic fixed-sweep frontier (every region count
     ``1..max_regions``) first — those evaluations land in the same memo the
     search uses, so the frontier is free context, not extra budget — then
-    runs the requested driver.  Because restart 0 starts *from* a frontier
-    point, the searched optimum is never worse than the best fixed point
-    given any budget >= 1.
+    runs the requested driver on that evaluator, in-process.  Restart 0
+    starts *from* a frontier point, and the report falls back to the
+    frontier best, so the searched optimum is never worse than the best
+    fixed point given any budget >= 1.
 
-    ``jobs>0`` (or a warm ``pool=``) shards the restarts over the parallel
-    sweep engine via :func:`repro.search.run_search_sharded`; shard
-    trajectories are bit-identical to the sequential restarts, though
-    unspent per-restart budget no longer rolls over (see
-    :mod:`repro.search.parallel`).
+    ``jobs`` accepts only 0 (the search has no worker pool); any other
+    value raises :class:`ValueError`.
     """
-    # Deferred so `repro.search` can import the pipeline (cache/fingerprints)
-    # at module level without a cycle through this module.
-    from repro.search import (
-        CostEvaluator,
-        SearchConfig,
-        SearchSpace,
-        run_search,
-        run_search_sharded,
-    )
+    if jobs != 0:
+        raise ValueError(f"search_multiregion runs in-process: jobs must be 0, got {jobs}")
+    # Deferred: `repro.search` imports `repro.flows.observe`, whose package
+    # import runs this module.  It also looks `run_search` up per call, which
+    # perfbench's traced run relies on when it wraps that name.
+    from repro.search import CostEvaluator, SearchConfig, SearchSpace, run_search
 
     space = SearchSpace(graph, library, device=device, max_regions=max_regions)
-    evaluator = CostEvaluator(
-        space,
-        architecture=architecture or case_a_standalone(),
-        cache=cache,
-    )
+    evaluator = CostEvaluator(space, architecture=architecture or case_a_standalone())
     fixed = {
         k: evaluator.evaluate(space.initial_state(k))
         for k in range(1, space.max_regions + 1)
     }
     config = SearchConfig(budget=budget, seed=seed, restarts=restarts)
-    if jobs > 0 or pool is not None:
-        result = run_search_sharded(
-            graph,
-            library,
-            device=device,
-            architecture=evaluator.architecture,
-            method=method,
-            config=config,
-            max_regions=max_regions,
-            jobs=jobs,
-            pool=pool,
-        )
-    else:
-        result = run_search(space, evaluator, config, method=method)
+    result = run_search(space, evaluator, config, method=method)
     # The search starts at initial_state() = the default-k frontier point,
     # so its best can only tie or beat that point; re-check against the
     # whole frontier and keep the better of the two.

@@ -13,20 +13,18 @@ heterogeneous fabrics.  This package makes the combined space searchable:
   moves spanning all three layers (reassign / split / merge regions,
   shift / resize / swap column spans).
 - :mod:`repro.search.objective` — :class:`CostEvaluator` prices a state by
-  re-running the incremental reconfiguration-aware scheduler (the fast
-  inner-loop evaluator PR 3 built) with floorplan-derived latencies, plus
-  bus-macro boundary costs and graded feasibility penalties; evaluations
-  are memoized through the flow pipeline's content-addressed
-  :class:`~repro.flows.pipeline.ArtifactCache`.
+  re-running the incremental reconfiguration-aware scheduler with
+  floorplan-derived latencies, plus bus-macro boundary costs and graded
+  feasibility penalties; evaluations are memoized per evaluator on the
+  canonical state key.
 - :mod:`repro.search.anneal` — a seeded simulated annealer plus greedy
   (random-restart hill-climbing) and pure random baselines, all drawing
   randomness from one :class:`numpy.random.SeedSequence` so equal seeds
   produce identical trajectories; progress emits ``repro.obs``
   spans/metrics and a per-iteration best-so-far trajectory.
-- :mod:`repro.search.parallel` — restart sharding: each global restart
-  becomes one picklable :class:`SearchRestartJob` on the parallel sweep
-  engine's warm worker pool, merged deterministically (``jobs=0`` and
-  ``jobs=N`` digests match).
+
+A search runs in-process: :func:`run_search` drives one evaluator with one
+memo.
 
 High-level entry points live in :func:`repro.flows.designspace.search_multiregion`
 and the ``repro search`` CLI subcommand.
@@ -43,12 +41,6 @@ from repro.search.anneal import (
     random_search,
     run_search,
 )
-from repro.search.parallel import (
-    SearchRestartJob,
-    merge_shard_results,
-    run_search_sharded,
-    shard_configs,
-)
 
 __all__ = [
     "SearchSpace",
@@ -64,8 +56,4 @@ __all__ = [
     "greedy",
     "random_search",
     "run_search",
-    "SearchRestartJob",
-    "run_search_sharded",
-    "shard_configs",
-    "merge_shard_results",
 ]

@@ -18,10 +18,11 @@ spawned child per restart — the same idiom
 reproduce identical trajectories bit-for-bit, which
 :meth:`SearchResult.digest` asserts across processes.  Progress emits
 ``repro.obs`` spans (``search:<method>`` / ``search:restart``) and
-counters, and every improvement lands on the best-so-far trajectory.  A
-restart span is a row (:mod:`repro.flows.observe`) of flow
-``search:<graph>:<method>`` carrying the restart's evaluations, pruned
-candidates and acceptances, so ``--profile`` and ``--log-json`` show it.
+counters, and every improvement lands on the best-so-far trajectory.
+Every driver records one ``search:restart`` row (:mod:`repro.flows.observe`)
+per restart, of flow ``search:<graph>:<method>``, carrying the evaluations,
+pruned candidates and acceptances that restart spent, so ``--profile`` and
+``--log-json`` show them.
 
 Every driver asks :meth:`~repro.search.objective.CostEvaluator.lower_bound`
 first and skips the schedule when the bound alone decides the candidate's
@@ -37,12 +38,13 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from time import perf_counter_ns
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from repro.flows.observe import row_attributes
-from repro.obs import get_tracer
+from repro.obs import Span, get_tracer
 from repro.obs.telemetry import get_telemetry
 from repro.search.objective import CostBreakdown, CostEvaluator
 from repro.search.space import SearchSpace, SearchState
@@ -69,13 +71,6 @@ class SearchConfig:
     seed: int = 0
     #: Independent restarts; each gets a spawned child sequence.
     restarts: int = 2
-    #: Global index of this config's *first* restart.  Restart ``i`` of a
-    #: run always draws from ``SeedSequence(seed, spawn_key=(offset + i,))``
-    #: — identical to child ``offset + i`` of a sequential run rooted at the
-    #: same seed — so :func:`repro.search.parallel.run_search_sharded` can
-    #: farm restarts out as ``restarts=1`` shards that reproduce the exact
-    #: per-restart trajectories of an unsharded run.
-    restart_offset: int = 0
     #: Starting temperature in cost units (ns); ``None`` auto-scales to a
     #: fraction of the initial state's cost.
     initial_temperature: Optional[float] = None
@@ -93,8 +88,6 @@ class SearchConfig:
             raise ValueError("restarts must be >= 1")
         if not 0.0 < self.cooling < 1.0:
             raise ValueError("cooling must be in (0, 1)")
-        if self.restart_offset < 0:
-            raise ValueError("restart_offset must be >= 0")
 
 
 @dataclass
@@ -157,23 +150,23 @@ class SearchResult:
 
 
 def _restart_rngs(config: SearchConfig) -> list[np.random.Generator]:
-    """One child generator per restart from a single rooted sequence.
-
-    ``SeedSequence(seed, spawn_key=(i,))`` is exactly child ``i`` of
-    ``SeedSequence(seed).spawn(...)``, so addressing children explicitly
-    through ``restart_offset`` gives a sharded run (each shard covering a
-    slice of the global restart range) bit-identical per-restart streams.
-    """
+    """One child generator per restart from a single rooted sequence."""
     return [
-        np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(config.restart_offset + i,))
-        )
-        for i in range(config.restarts)
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(config.seed).spawn(config.restarts)
     ]
 
 
 class _Run:
-    """Shared bookkeeping: budget, best-so-far, trajectory, counts.
+    """Shared bookkeeping: budget, best-so-far, trajectory, counts, rows.
+
+    Entered as a context manager, the run is the driver's ``search:<method>``
+    span.  Work done under :meth:`restart` is charged to that restart's
+    row: the evaluations, pruned candidates and acceptances it spent and
+    the wall time it took.  The rows are recorded when the span ends, so
+    interleaved restarts (random search) get one row each too.  Rows are
+    laid end to end in restart order, none before its restart's first
+    block: sequential restarts keep their own intervals.
 
     When an ambient telemetry hub is installed, the run streams a
     ``search.cost_ns`` sketch of priced candidates' costs over the
@@ -197,6 +190,34 @@ class _Run:
         self.best_cost: Optional[CostBreakdown] = None
         hub = get_telemetry()
         self._tstore = hub.store("search") if hub is not None else None
+        self._tracer = get_tracer()
+        #: restart -> [first start (perf ns), wall ns, evaluations, pruned,
+        #: accepted]; filled only while a tracer records
+        self._rows: dict[int, list[int]] = {}
+
+    def __enter__(self) -> "_Run":
+        attributes = {"seed": self.config.seed, "budget": self.config.budget}
+        self._span = self._tracer.span(f"search:{self.method}", attributes=attributes).start()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        tracer = self._tracer
+        flow = f"search:{self.evaluator.space.graph.name}:{self.method}"
+        start_ns = 0
+        for restart, (first_ns, wall_ns, *counts) in sorted(self._rows.items()):
+            start_ns = max(first_ns, start_ns)
+            metrics = dict(zip(("evaluations", "pruned", "accepted"), counts))
+            tracer.add_span(Span(
+                name="search:restart",
+                context=self._span.context.child_of(tracer.next_span_id()),
+                start_ns=tracer.to_epoch_ns(start_ns),
+                duration_ns=wall_ns,
+                process=tracer.process,
+                track=tracer.track,
+                attributes=row_attributes(flow, metrics, restart=restart),
+            ))
+            start_ns += wall_ns
+        self._span.__exit__(exc_type, exc, tb)
 
     @property
     def exhausted(self) -> bool:
@@ -227,21 +248,18 @@ class _Run:
 
     @contextmanager
     def restart(self, restart: int) -> Iterator[None]:
-        """The ``search:restart`` span of global restart ``restart``, made a
-        row with the evaluations, pruned candidates and acceptances the
-        restart spent."""
-        tracer = get_tracer()
-        before = (self.evaluations, self.pruned, self.accepted)
-        with tracer.span("search:restart", attributes={"restart": restart}) as span:
+        """Charge the block's counts and wall time to ``restart``'s row."""
+        if not self._tracer.enabled:
             yield
-            if tracer.enabled:
-                metrics = {
-                    "evaluations": self.evaluations - before[0],
-                    "pruned": self.pruned - before[1],
-                    "accepted": self.accepted - before[2],
-                }
-                flow = f"search:{self.evaluator.space.graph.name}:{self.method}"
-                span.attributes.update(row_attributes(flow, metrics))
+            return
+        started = perf_counter_ns()
+        before = (self.evaluations, self.pruned, self.accepted)
+        yield
+        row = self._rows.setdefault(restart, [started, 0, 0, 0, 0])
+        row[1] += perf_counter_ns() - started
+        row[2] += self.evaluations - before[0]
+        row[3] += self.pruned - before[1]
+        row[4] += self.accepted - before[2]
 
     def evaluate_below(self, state: SearchState, cutoff: float) -> Optional[CostBreakdown]:
         """Price ``state``, or prune it (returning ``None``) when its lower
@@ -270,10 +288,8 @@ class _Run:
 def _start_state(
     space: SearchSpace, restart: int, rng: np.random.Generator
 ) -> SearchState:
-    """*Global* restart 0 starts from the deterministic fixed-sweep point;
-    later restarts scatter uniformly so the search escapes that basin.
-    ``restart`` is the global index (``config.restart_offset`` included),
-    so exactly one shard of a sharded run anchors to the frontier."""
+    """Restart 0 starts from the deterministic fixed-sweep point; later
+    restarts scatter uniformly so the search escapes that basin."""
     return space.initial_state() if restart == 0 else space.random_state(rng)
 
 
@@ -284,17 +300,15 @@ def anneal(
 ) -> SearchResult:
     """Simulated annealing with Metropolis acceptance and restarts."""
     run = _Run("anneal", evaluator, config)
-    tracer = get_tracer()
-    with tracer.span("search:anneal", attributes={"seed": config.seed, "budget": config.budget}):
+    with run:
         for restart, rng in enumerate(_restart_rngs(config)):
             # Budget is sliced across restarts (the last slice absorbs
             # rounding) so every spawned child actually walks.
             limit = config.budget * (restart + 1) // config.restarts
             if run.evaluations >= limit:
                 continue
-            global_restart = config.restart_offset + restart
-            with run.restart(global_restart):
-                current = _start_state(space, global_restart, rng)
+            with run.restart(restart):
+                current = _start_state(space, restart, rng)
                 current_cost = run.evaluate(current)
                 temperature = config.initial_temperature
                 if temperature is None:
@@ -328,15 +342,13 @@ def greedy(
 ) -> SearchResult:
     """Random-restart first-improvement hill climbing."""
     run = _Run("greedy", evaluator, config)
-    tracer = get_tracer()
-    with tracer.span("search:greedy", attributes={"seed": config.seed, "budget": config.budget}):
+    with run:
         for restart, rng in enumerate(_restart_rngs(config)):
             limit = config.budget * (restart + 1) // config.restarts
             if run.evaluations >= limit:
                 continue
-            global_restart = config.restart_offset + restart
-            with run.restart(global_restart):
-                current = _start_state(space, global_restart, rng)
+            with run.restart(restart):
+                current = _start_state(space, restart, rng)
                 current_cost = run.evaluate(current)
                 stale = 0
                 while run.evaluations < limit and stale < config.patience:
@@ -358,17 +370,21 @@ def random_search(
     evaluator: CostEvaluator,
     config: SearchConfig = SearchConfig(),
 ) -> SearchResult:
-    """Independent uniform samples — the floor every driver must beat."""
+    """Independent uniform samples — the floor every driver must beat.
+
+    The restarts' streams take turns, one sample each; restart 0 also owns
+    the fixed-sweep start point."""
     run = _Run("random", evaluator, config)
-    tracer = get_tracer()
-    with tracer.span("search:random", attributes={"seed": config.seed, "budget": config.budget}):
+    with run:
         rngs = _restart_rngs(config)
-        run.evaluate(space.initial_state())
+        with run.restart(0):
+            run.evaluate(space.initial_state())
         index = 0
         while not run.exhausted:
-            rng = rngs[index % len(rngs)]
+            restart = index % len(rngs)
             index += 1
-            run.evaluate_below(space.random_state(rng), run.best_cost.total_ns)
+            with run.restart(restart):
+                run.evaluate_below(space.random_state(rngs[restart]), run.best_cost.total_ns)
     return run.result()
 
 

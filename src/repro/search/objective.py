@@ -22,11 +22,8 @@ actually running the decision stack it encodes:
    heterogeneous-column premium).
 
 The total is a weighted sum in nanoseconds.  Evaluations are pure functions
-of ``(space, architecture, weights, state)`` and are memoized two ways: a
-per-evaluator dict, and — when a content-addressed
-:class:`~repro.flows.pipeline.ArtifactCache` is supplied — a shared tier
-keyed by fingerprint, so repeat evaluations across searches (or across
-processes via the disk tier) are free.
+of ``(space, architecture, weights, state)``, memoized per evaluator on the
+canonical state key.
 
 Steps 1, 2 and 4 need no schedule.  :meth:`CostEvaluator.lower_bound` prices
 them alone: the boundary and penalty terms of the total, which can never
@@ -52,7 +49,6 @@ from repro.aaa.recon_aware import ReconfigAwareScheduler
 from repro.arch.boards import sundance_board
 from repro.fabric.busmacro import BusMacroError, boundary_cost, macros_needed
 from repro.fabric.resources import ResourceVector
-from repro.flows.pipeline import ArtifactCache, fingerprint, fingerprint_graph, fingerprint_library
 from repro.reconfig.architectures import ReconfigArchitecture, case_a_standalone
 from repro.search.space import SearchSpace, SearchState
 
@@ -85,9 +81,6 @@ class CostWeights:
             value = getattr(self, weight.name)
             if not value >= 0.0:
                 raise ValueError(f"weight {weight.name} must be >= 0, got {value}")
-
-    def key(self) -> tuple:
-        return (self.makespan, self.reconfig_busy, self.boundary, self.penalty_unit_ns)
 
 
 @dataclass(frozen=True)
@@ -131,15 +124,6 @@ class EvaluatorStats:
     requested: int = 0
     computed: int = 0
     memo_hits: int = 0
-    cache_hits: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "requested": self.requested,
-            "computed": self.computed,
-            "memo_hits": self.memo_hits,
-            "cache_hits": self.cache_hits,
-        }
 
 
 class _Static(NamedTuple):
@@ -160,12 +144,10 @@ class CostEvaluator:
         space: SearchSpace,
         architecture: Optional[ReconfigArchitecture] = None,
         weights: CostWeights = CostWeights(),
-        cache: Optional[ArtifactCache] = None,
     ):
         self.space = space
         self.architecture = architecture or case_a_standalone()
         self.weights = weights
-        self.cache = cache
         self.stats = EvaluatorStats()
         self._memo: dict[str, CostBreakdown] = {}
         #: region count -> cost model of that count's board, without
@@ -183,14 +165,6 @@ class CostEvaluator:
         #: the static part the last lower_bound() computed, handed to the
         #: pricing of that same state (one slot, not a second memo)
         self._static: Optional[_Static] = None
-        self._space_fp = fingerprint(
-            "search_space",
-            fingerprint_graph(space.graph),
-            fingerprint_library(space.library),
-            space.device.name,
-            space.margin,
-            space.max_regions,
-        )
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -210,15 +184,6 @@ class CostEvaluator:
             latency = self.architecture.estimate_latency_ns(nbytes)
             self._latency_by_span[key] = latency
         return latency
-
-    def cache_key(self, state: SearchState) -> str:
-        return fingerprint(
-            "search_eval",
-            self._space_fp,
-            self.architecture.name,
-            self.weights.key(),
-            state.key(),
-        )
 
     # -- the objective -----------------------------------------------------------
 
@@ -244,17 +209,8 @@ class CostEvaluator:
         if hit is not None:
             self.stats.memo_hits += 1
             return hit
-        if self.cache is not None:
-            cached = self.cache.get(self.cache_key(state))
-            if isinstance(cached, CostBreakdown):
-                self.stats.cache_hits += 1
-                self._memo[memo_key] = cached
-                return cached
-        breakdown = self._compute(state)
+        breakdown = self._memo[memo_key] = self._compute(state)
         self.stats.computed += 1
-        if self.cache is not None:
-            breakdown = self.cache.put(self.cache_key(state), breakdown)
-        self._memo[memo_key] = breakdown
         return breakdown
 
     def _static_part(self, state: SearchState) -> _Static:

@@ -12,14 +12,20 @@ These are the regression tests for the parallel-sweep slowdown fix:
 - a worker dying *between* a failed attempt and its redispatch (the
   ``raise_exit`` fault) is respawned and the retry still lands — the
   crash-accounting case where an untracked job would deadlock the engine;
-- span ids stay unique when one worker serves many traced runs.
+- span ids stay unique when one worker serves many traced runs;
+- workers that never start (spawn cannot re-import ``__main__``) fail the
+  run with a typed error after a fixed number of them, in a subprocess.
 
 Worker processes are real spawn-context children; the cheap compute-bound
 :class:`~repro.mccdma.engine.LinkPointJob` keeps wall time reasonable.
 """
 
 import dataclasses
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -245,6 +251,52 @@ def test_crashed_worker_unstarted_jobs_keep_their_attempts():
         assert by_id["pt02"].ok and by_id["pt02"].attempts == 1
     finally:
         engine.close()
+
+
+STDIN_SWEEP = """
+from repro.exec import ParallelSweepEngine, WorkerStartupError
+from repro.exec.engine import MAX_STILLBORN_WORKERS
+from repro.mccdma.engine import LinkEngineConfig, LinkPointJob
+from repro.mccdma.transmitter import MCCDMAConfig
+
+jobs = [
+    LinkPointJob(
+        job_id=f"pt{i:02d}", strategy="qpsk", snr_db=6.0, n_frames=2, seed_entropy=0,
+        point_index=i, config=MCCDMAConfig(user_codes=(0,)),
+        engine=LinkEngineConfig(batch_frames=8),
+    )
+    for i in range(20)
+]
+engine = ParallelSweepEngine(jobs=2, retries=1)
+try:
+    engine.run(jobs)
+except WorkerStartupError as err:
+    print("spawned", engine.pool.spawned_total, "limit", MAX_STILLBORN_WORKERS)
+    print(err)
+finally:
+    engine.close()
+"""
+
+
+def test_workers_that_never_start_fail_the_run_fast():
+    """A script read from stdin has no file for spawn to re-import as
+    ``__main__``, so every worker dies before reporting ready.  The run
+    fails with a typed error naming that cause once the limit of stillborn
+    workers is reached, instead of respawning one per job attempt."""
+    import repro
+
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-"], input=STDIN_SWEEP, capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    head, message = proc.stdout.splitlines()[:2]
+    _, spawned, _, limit = head.split()
+    # at most one respawn per worker slot lands after the last death
+    assert int(limit) <= int(spawned) <= int(limit) + 2
+    assert f"{limit} workers in a row died before reporting ready" in message
+    assert 'if __name__ == "__main__":' in message and "stdin" in message
 
 
 # -- batched submission ------------------------------------------------------------

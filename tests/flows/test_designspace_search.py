@@ -8,7 +8,6 @@ from repro.dfg.generators import multiregion_graph
 from repro.dfg.library import default_library
 from repro.fabric.device import XC2V3000
 from repro.flows import SearchReport, search_multiregion
-from repro.flows.pipeline import ArtifactCache
 from repro.reconfig.architectures import case_b_processor
 
 
@@ -81,16 +80,14 @@ def test_alternate_device_and_architecture_flow_through():
     assert report.architecture == case_b_processor().name
 
 
-def test_shared_cache_skips_repeat_evaluations():
-    cache = ArtifactCache()
-    search_multiregion(
-        multiregion_graph(2, 2), default_library(), budget=20, seed=1, cache=cache
-    )
-    before = cache.stats.hits
-    search_multiregion(
-        multiregion_graph(2, 2), default_library(), budget=20, seed=1, cache=cache
-    )
-    assert cache.stats.hits > before
+def test_search_runs_in_process_only():
+    """``jobs=0`` (what perfbench passes) is the only value left."""
+    graph, library = multiregion_graph(2, 2), default_library()
+    zero = search_multiregion(graph, library, budget=20, seed=2, jobs=0)
+    assert zero.result.digest() == search_multiregion(graph, library, budget=20, seed=2).result.digest()
+    for jobs in (1, 2, -1):
+        with pytest.raises(ValueError, match="jobs must be 0"):
+            search_multiregion(graph, library, budget=5, jobs=jobs)
 
 
 def test_method_is_forwarded():

@@ -138,6 +138,30 @@ def test_search_emits_spans_and_metrics(space):
     assert hub.domains() == ["search"]
 
 
+@pytest.mark.parametrize("method", sorted(SEARCH_METHODS))
+def test_restart_rows_sum_to_the_result_inside_the_driver_span(space, method):
+    """Every driver, random search's interleaved streams included, records
+    one row per restart; tracing leaves the digest alone."""
+    from repro.flows import flow_rows
+    from repro.obs import Tracer, use_tracer
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        traced = run(space, method=method, budget=30, restarts=3)
+    assert traced.digest() == run(space, method=method, budget=30, restarts=3).digest()
+    rows = [row for row in flow_rows(tracer.spans) if row.stage == "search:restart"]
+    assert [row.flow for row in rows] == [f"search:multiregion2x2:{method}"] * 3
+    for name in ("evaluations", "pruned", "accepted"):
+        assert sum(row.metrics[name] for row in rows) == getattr(traced, name)
+    (driver,) = [s for s in tracer.spans if s.name == f"search:{method}"]
+    restarts = [s for s in tracer.spans if s.name == "search:restart"]
+    assert [s.attributes["restart"] for s in restarts] == [0, 1, 2]
+    assert all(s.context.parent_id == driver.context.span_id for s in restarts)
+    assert all(driver.start_ns <= s.start_ns and s.end_ns <= driver.end_ns for s in restarts)
+    # rows never overlap: the profile's total counts each restart's time once
+    assert all(a.end_ns <= b.start_ns for a, b in zip(restarts, restarts[1:]))
+
+
 def test_greedy_never_worse_than_its_start(space):
     result = run(space, method="greedy", budget=60, seed=4)
     start = CostEvaluator(space).evaluate(space.initial_state())

@@ -11,7 +11,6 @@ from repro.aaa import adequate
 from repro.dfg.generators import conditioned_chain_graph, multiregion_graph
 from repro.dfg.library import default_library
 from repro.fabric.device import XC2V1000, XC2V2000, XC2V3000
-from repro.flows.pipeline import ArtifactCache
 from repro.reconfig.architectures import case_a_standalone, case_b_processor
 from repro.search import CostEvaluator, CostWeights, SearchConfig, SearchSpace, SearchState, run_search
 from repro.search import objective
@@ -94,28 +93,6 @@ def test_memoization_within_one_evaluator(space):
     assert ev.stats.requested == 2
     assert ev.stats.computed == 1
     assert ev.stats.memo_hits == 1
-
-
-def test_artifact_cache_shares_evaluations_across_evaluators(space):
-    cache = ArtifactCache()
-    s = space.initial_state()
-    a = CostEvaluator(space, cache=cache)
-    first = a.evaluate(s)
-    b = CostEvaluator(space, cache=cache)
-    second = b.evaluate(s)
-    assert b.stats.cache_hits == 1
-    assert b.stats.computed == 0
-    assert second.total_ns == first.total_ns
-    assert second.state_key == first.state_key
-
-
-def test_cache_key_depends_on_architecture_and_weights(space):
-    s = space.initial_state()
-    base = CostEvaluator(space)
-    other_arch = CostEvaluator(space, architecture=case_b_processor())
-    other_weights = CostEvaluator(space, weights=CostWeights(reconfig_busy=0.5))
-    assert base.cache_key(s) != other_arch.cache_key(s)
-    assert base.cache_key(s) != other_weights.cache_key(s)
 
 
 def test_architecture_changes_the_reconfig_pricing(space):

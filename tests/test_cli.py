@@ -663,13 +663,15 @@ def test_traced_search_json_stdout_parses(tmp_path, capsys):
     assert "wrote trace" in captured.err
 
 
-@pytest.mark.parametrize("jobs", ["0", "2"])
+@pytest.mark.parametrize("method", ["anneal", "greedy", "random"])
 @pytest.mark.parametrize("json_mode", [False, True])
-def test_search_profile_shows_restart_rows(jobs, json_mode, tmp_path, capsys):
+def test_search_profile_shows_restart_rows(method, json_mode, tmp_path, capsys):
     import json
 
     rows_path = tmp_path / "rows.jsonl"
-    argv = ["--profile", "--log-json", str(rows_path), "search", "--budget", "15", "--jobs", jobs]
+    argv = [
+        "--profile", "--log-json", str(rows_path), "search", "--budget", "15", "--method", method,
+    ]
     out = io.StringIO()
     code = main(argv + ["--json"] * json_mode, out=out)
     captured = capsys.readouterr()
@@ -684,10 +686,17 @@ def test_search_profile_shows_restart_rows(jobs, json_mode, tmp_path, capsys):
     rows = [json.loads(line) for line in rows_path.read_text().splitlines()]
     assert rows and all(set(row) == ROW_KEYS for row in rows)
     restarts = [row for row in rows if row["stage"] == "search:restart"]
-    assert [row["flow"] for row in restarts] == ["search:multiregion2x2:anneal"] * 2
+    assert [row["flow"] for row in restarts] == [f"search:multiregion2x2:{method}"] * 2
     if json_mode:
         for name in ("evaluations", "pruned", "accepted"):
             assert sum(row["metrics"][name] for row in restarts) == result[name]
+
+
+def test_search_has_no_jobs_flag(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("search", "--jobs", "2")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_fleet_json_with_telemetry_stdout_parses(tmp_path, capsys):
