@@ -29,17 +29,15 @@ def _run_once(scrub_interval_ns: int, horizon_ns: int, seed: int):
     manager = ReconfigurationManager(sim, builder, request_latency_ns=0)
     injector = SEUInjector(sim, builder, ["D1"], mean_interval_ns=ms(25), seed=seed)
     builder.upset_injector = lambda region, module: False
-    scrubber = ConfigurationScrubber(
-        sim, manager, scrub_interval_ns, injector=injector, trace=trace
-    )
+    scrubber = ConfigurationScrubber(sim, manager, scrub_interval_ns, injector=injector)
 
     def boot():
         yield manager.ensure_loaded("D1", "m")
 
     sim.process(boot())
     sim.run(until=horizon_ns)
-    port_busy = sum(s.duration for s in trace.spans_of(kind="reconfig"))
-    port_busy += sum(s.duration for s in trace.spans_of(kind="readback"))
+    port_busy = sum(s.duration_ns for s in trace.spans_of(kind="reconfig"))
+    port_busy += sum(s.duration_ns for s in trace.spans_of(kind="readback"))
     return {
         "availability": scrubber.availability(horizon_ns),
         "upsets": injector.upsets,

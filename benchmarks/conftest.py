@@ -13,15 +13,10 @@ import pathlib
 
 import pytest
 
-from repro.flows import DesignFlow, FlowEvent, parse_constraints
+from repro.flows import DesignFlow, parse_constraints
 from repro.mccdma.casestudy import build_mccdma_design
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-
-#: The stage rows (``FlowResult.events``) of every flow built through
-#: :func:`build_case_study_flow`; the session teardown aggregates them into
-#: BENCH_flow_stages.json.
-STAGE_EVENTS: list[FlowEvent] = []
 
 CASE_STUDY_CONSTRAINTS = """
 [module mod_qpsk]
@@ -87,9 +82,7 @@ def build_case_study_flow(prefetch: bool = True, reconfig_architecture=None):
         kwargs["reconfig_architecture"] = reconfig_architecture
     flow = DesignFlow.from_design(design, **kwargs)
     flow.mapping.pin("bit_src", "DSP").pin("select", "DSP")
-    result = flow.run()
-    STAGE_EVENTS.extend(result.events)
-    return design, result
+    return design, flow.run()
 
 
 @pytest.fixture(scope="session")
@@ -97,27 +90,3 @@ def case_study_flow():
     """Session-cached flow result for the MC-CDMA case study."""
     return build_case_study_flow()
 
-
-@pytest.fixture(scope="session", autouse=True)
-def _write_stage_timings():
-    """Aggregate per-stage pipeline timings into BENCH_flow_stages.json.
-
-    One row per Fig. 3 stage: how often it ran across the whole benchmark
-    session, how often the artifact cache served it, and the wall time —
-    the flow-profiling counterpart of the pytest-benchmark numbers."""
-    yield
-    if not STAGE_EVENTS:
-        return
-    stages: dict[str, dict] = {}
-    for event in STAGE_EVENTS:
-        row = stages.setdefault(
-            event.stage, {"executions": 0, "cache_hits": 0, "total_s": 0.0}
-        )
-        row["cache_hits" if event.cache_hit else "executions"] += 1
-        row["total_s"] += event.wall_time_s
-    for row in stages.values():
-        runs = row["executions"] + row["cache_hits"]
-        row["mean_s"] = row["total_s"] / runs if runs else 0.0
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / "BENCH_flow_stages.json"
-    path.write_text(json.dumps(stages, indent=2, sort_keys=True) + "\n")

@@ -513,7 +513,6 @@ def _redraw(out, text: str) -> None:
 
 def _cmd_fleet(args, out) -> int:
     """Multiplex a fleet of boards on one kernel; frontier across policies."""
-    from repro.obs import spans_from_sim_trace
     from repro.runtime import FleetConfig, generate_fleet_schedules, run_fleet
 
     tracer = get_tracer()
@@ -570,10 +569,10 @@ def _cmd_fleet(args, out) -> int:
             span.set_attribute("boards", report.n_boards)
             span.set_attribute("requests", report.total_requests)
             span.set_attribute("hit_rate", report.hit_rate)
+            # The boards' traces were created inside this span: their
+            # sim-clock spans already parent under it.
             for board_trace in report.traces:
-                tracer.add_spans(
-                    spans_from_sim_trace(board_trace, parent=span.context)
-                )
+                tracer.add_spans(board_trace.spans)
         if hub is not None:
             totals = hub.store("run")
             for key, count in report.totals.items():
@@ -856,9 +855,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="traced flow + runtime simulation with the Fig. 4 region-residency "
         "Gantt, or --check to validate an existing trace file",
     )
+    # SUPPRESS keeps a missing --out from overwriting the global --trace
+    # PATH (a subparser's defaults land on the shared namespace).
     p_trace.add_argument(
-        "--out", dest="trace", metavar="PATH", default="trace.json",
-        help="Chrome trace-event output path (default: trace.json)",
+        "--out", dest="trace", metavar="PATH", default=argparse.SUPPRESS,
+        help="Chrome trace-event output path (default: the global --trace "
+        "PATH, else trace.json)",
     )
     p_trace.add_argument(
         "--svg", metavar="PATH", default=None,
@@ -1113,6 +1115,8 @@ def _run_recorded(args, out, raw_argv: list[str], trace_path: Optional[str]) -> 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "trace" and args.trace is None:
+        args.trace = "trace.json"
     stream = out if out is not None else sys.stdout
     # ``trace --check`` only reads a trace file; it never writes one.
     trace_path = None if getattr(args, "check", None) else args.trace

@@ -285,13 +285,7 @@ class ExecutiveRunner:
                     src_key = instr.edge_id.split("->")[0]  # "op.port"
                     yield chan.put(local.get(src_key))
                 elif isinstance(instr, ReconfigureInstr):
-                    start = self.sim.now
                     yield self.config_service.ensure_loaded(instr.region, instr.module)
-                    if self.sim.now > start:
-                        self.trace.record(
-                            start, f"op.{name}", "reconfig_stall",
-                            detail=instr.module, payload=self.sim.now - start,
-                        )
                 else:  # pragma: no cover - defensive
                     raise MacroCodeError(f"unknown instruction {instr!r}")
             ends.append(self.sim.now)

@@ -16,7 +16,7 @@ from typing import Union
 
 from repro.executive.interpreter import ExecutionReport
 from repro.flows.flow import FlowResult
-from repro.obs import get_telemetry, get_tracer, spans_from_sim_trace
+from repro.obs import get_telemetry, get_tracer
 from repro.reconfig.eviction import EvictionPolicy
 from repro.reconfig.manager import ManagerStats
 from repro.reconfig.memory import BitstreamStore
@@ -124,48 +124,48 @@ class SystemSimulation:
         return store
 
     def run(self) -> RuntimeResult:
-        sim = Simulator()
-        trace = Trace()
-        arch = self.flow.modular.reconfig_architecture
-        store = self._build_store()
-        # One platform = one Board on a private kernel.  Board builds the
-        # protocol builder and manager in the same order this method used
-        # to, so single-board results are identical to the pre-Board stack.
-        board = Board(
-            "board", sim, arch, store,
-            policy=self.policy,
-            eviction=self.eviction,
-            region_slots=self.region_slots,
-            trace=trace,
-        )
-        manager = board.manager
-        # Modules declared "loading = startup" ship in the initial full
-        # bitstream — no first-use reconfiguration for them.
-        for region, op_name in self.flow.startup_modules().items():
-            board.preload(region, op_name)
-        runner = board.attach_executive(
-            self.flow.executive,
-            n_iterations=self.n_iterations,
-            bindings=self.bindings,
-            selector_values=self.selector_values,
-            capture=self.capture,
-        )
         tracer = get_tracer()
         with tracer.span("runtime:simulate") as rt_span:
-            report = runner.run()
+            sim = Simulator()
+            # Created inside the run's span: the trace's sim-clock spans
+            # parent under it.
+            trace = Trace()
+            arch = self.flow.modular.reconfig_architecture
+            store = self._build_store()
+            # One platform = one Board on a private kernel.  Board builds the
+            # protocol builder and manager in the same order this method used
+            # to, so single-board results are identical to the pre-Board stack.
+            board = Board(
+                "board", sim, arch, store,
+                policy=self.policy,
+                eviction=self.eviction,
+                region_slots=self.region_slots,
+                trace=trace,
+            )
+            manager = board.manager
+            # Modules declared "loading = startup" ship in the initial full
+            # bitstream — no first-use reconfiguration for them.
+            for region, op_name in self.flow.startup_modules().items():
+                board.preload(region, op_name)
+            report = board.attach_executive(
+                self.flow.executive,
+                n_iterations=self.n_iterations,
+                bindings=self.bindings,
+                selector_values=self.selector_values,
+                capture=self.capture,
+            ).run()
         # "Switches" = configuration loads actually performed (includes the
         # initial load unless the module shipped in the startup bitstream).
         switches = manager.stats.demand_loads + manager.stats.prefetch_loads
         if tracer.enabled:
-            # Flush still-open residency intervals into closed spans, then
-            # re-base the kernel's virtual-time trace under this run's span.
+            # Flush still-open residency intervals into closed spans.
             trace.close_open(report.end_time_ns)
             rt_span.set_attribute("n_iterations", self.n_iterations)
             rt_span.set_attribute("switches", switches)
             rt_span.set_attribute(
                 "policy", getattr(self.policy, "name", type(self.policy).__name__)
             )
-            tracer.add_spans(spans_from_sim_trace(trace, parent=rt_span.context))
+            tracer.add_spans(trace.spans)
         hub = get_telemetry()
         if hub is not None:
             totals = hub.store("run")

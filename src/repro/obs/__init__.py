@@ -12,7 +12,9 @@ numbers, whether whole-run totals or windowed series.
   (:func:`get_tracer`), a recording :class:`Tracer` is installed per traced
   run (:func:`use_tracer`).  :class:`SpanContext` pickles cleanly so the
   sweep engine propagates it over worker pipes and worker stage spans
-  parent under their job span across the process boundary.
+  parent under their job span across the process boundary.  The sim
+  kernel's :class:`repro.sim.Trace` reads back as spans of this model on
+  the ``"sim"`` clock.
 - :mod:`repro.obs.telemetry` — streaming dimensionally-labeled time-series
   (:class:`TimeSeriesStore`: windowed counters/gauges/quantile sketches
   keyed by label sets) and declarative SLO rules
@@ -21,8 +23,6 @@ numbers, whether whole-run totals or windowed series.
   ``None`` unless a run installs one — ``--trace`` does) is where every
   layer writes its numbers: run totals into the single-window ``run``
   store, windowed series into the ``sim``/``wall``/``search`` stores.
-- :mod:`repro.obs.bridge` — re-bases the sim kernel's virtual-time trace
-  onto the same span model.
 - :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-loadable,
   including ``ph:"C"`` counter tracks, one lane per hub store), the Fig. 4
   per-region residency Gantt (text and SVG) and run manifests whose
@@ -49,7 +49,6 @@ from repro.obs.tracer import (
     set_tracer,
     use_tracer,
 )
-from repro.obs.bridge import spans_from_sim_trace
 from repro.obs.export import (
     build_manifest,
     chrome_trace,
@@ -99,7 +98,6 @@ __all__ = [
     "new_trace_id",
     "set_tracer",
     "use_tracer",
-    "spans_from_sim_trace",
     "build_manifest",
     "chrome_trace",
     "manifest_path_for",

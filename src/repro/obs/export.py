@@ -222,7 +222,7 @@ def write_chrome_trace(
 
 
 def region_timeline(spans: Sequence[Span]) -> dict[str, dict[str, list]]:
-    """Per-region residency and load intervals from bridged sim spans.
+    """Per-region residency and load intervals from sim-clock spans.
 
     Returns ``{region: {"resident": [(module, start, end)], "loads":
     [(module, start, end, kind)]}}`` where ``kind`` is ``load`` (a demand

@@ -1,8 +1,8 @@
 """Hierarchical span tracing.
 
 One tracer serves every layer of the flow — pipeline stages, sweep jobs,
-worker processes, the link engine and (bridged from virtual time) the
-discrete-event runtime — so a single run produces a single tree of spans:
+worker processes, the link engine and (in virtual time) the discrete-event
+runtime — so a single run produces a single tree of spans:
 
 - :class:`SpanContext` is the propagatable identity of a span
   (``trace_id`` / ``span_id`` / ``parent_id``); it is a small frozen
@@ -13,8 +13,8 @@ discrete-event runtime — so a single run produces a single tree of spans:
   spans are timed with the *monotonic* ``perf_counter_ns`` clock and mapped
   onto the epoch through a per-tracer anchor, so durations never go
   backwards and spans from different processes still share one timeline.
-  Spans bridged from the simulation kernel carry virtual nanoseconds and
-  are marked ``clock="sim"``.
+  Spans of the simulation kernel's :class:`repro.sim.Trace` carry virtual
+  nanoseconds and are marked ``clock="sim"``.
 - :class:`Tracer` is the recording implementation; :class:`NoopTracer` is
   the **default** and is zero-cost: ``span()`` returns a shared inert
   handle, no ids are generated, no clocks are read.  Instrumentation sites
@@ -73,7 +73,8 @@ class Span:
     """One finished activity interval."""
 
     name: str
-    context: SpanContext
+    #: identity, not content: two runs' spans compare equal without it
+    context: SpanContext = field(compare=False)
     start_ns: int  #: epoch ns for ``clock="wall"``, virtual ns for ``clock="sim"``
     duration_ns: int
     clock: str = "wall"  #: ``"wall"`` or ``"sim"``
@@ -238,7 +239,7 @@ class Tracer:
         return SpanHandle(self, name, context, attributes)
 
     def add_span(self, span: Span) -> None:
-        """Adopt a finished span produced elsewhere (worker pipe, sim bridge)."""
+        """Adopt a finished span produced elsewhere (worker pipe, sim trace)."""
         self.spans.append(span)
 
     def add_spans(self, spans) -> None:

@@ -11,9 +11,10 @@ trace export must satisfy before anyone debugs from it:
 - ``C`` (counter) events carry a numeric, non-negative ``ts`` and an
   ``args`` object whose every value is a finite number — a counter track
   with a string sample renders as a silent gap in Perfetto;
-- span identity is coherent: every ``parent_id`` referenced by a span
-  resolves to a ``span_id`` present in the file (a worker span whose parent
-  was lost in transit fails here), and all spans belong to **one** trace.
+- span identity is coherent: no two spans share a ``span_id``, every
+  ``parent_id`` referenced by a span resolves to a ``span_id`` present in
+  the file (a worker span whose parent was lost in transit fails here),
+  and all spans belong to **one** trace.
 
 Returns the list of problems (empty = valid) so the CLI can print them and
 CI can fail the build on any.
@@ -104,6 +105,8 @@ def validate_chrome_trace(payload: Any) -> list[str]:
             span_id = args.get("span_id")
             if not isinstance(span_id, str) or not span_id:
                 errors.append(f"event #{index}: empty span_id")
+            elif span_id in span_ids:
+                errors.append(f"event #{index}: duplicate span_id {span_id!r}")
             else:
                 span_ids.add(span_id)
             parent = args.get("parent_id")

@@ -324,8 +324,6 @@ class ReconfigurationManager:
                 # A speculative load left the area before anyone demanded it.
                 self.stats.wasted_prefetches += 1
                 state.unclaimed_prefetch = None
-            if self.trace:
-                self.trace.record(self.sim.now, f"region.{region}", "evict", detail=victim)
 
     def _known(self, region: str, module: str) -> bool:
         try:
@@ -407,8 +405,6 @@ class ReconfigurationManager:
             # "reconfig" span kind stays exclusively the builder's.
             load_kind = "load" if job.demand else "prefetch"
             if self.trace:
-                self.trace.record(self.sim.now, f"mgr.{region}", "load_start",
-                                  detail=job.module, payload="demand" if job.demand else "prefetch")
                 self.trace.begin(self.sim.now, f"region.{region}", load_kind, detail=job.module)
             previous = state.loaded
             try:
@@ -459,8 +455,6 @@ class ReconfigurationManager:
                 self.trace.end(self.sim.now, actor, load_kind)
                 if self.trace.is_open(actor, "resident"):
                     self.trace.end(self.sim.now, actor, "resident")
-                if previous is not None and not self._multi:
-                    self.trace.record(self.sim.now, actor, "unload", detail=previous)
                 self.trace.begin(self.sim.now, actor, "resident", detail=job.module)
             if self._multi:
                 state.resident[job.module] = None

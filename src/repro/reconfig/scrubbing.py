@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.reconfig.manager import ReconfigurationManager
 from repro.reconfig.protocol import ProtocolConfigurationBuilder
-from repro.sim import Simulator, Trace
+from repro.sim import Simulator
 
 __all__ = ["SEUInjector", "ScrubberStats", "ConfigurationScrubber"]
 
@@ -93,7 +93,6 @@ class ConfigurationScrubber:
         manager: ReconfigurationManager,
         interval_ns: int,
         injector: Optional[SEUInjector] = None,
-        trace: Optional[Trace] = None,
     ):
         if interval_ns <= 0:
             raise ValueError("scrub interval must be positive")
@@ -102,7 +101,6 @@ class ConfigurationScrubber:
         self.builder = manager.builder
         self.interval_ns = interval_ns
         self.injector = injector
-        self.trace = trace
         self.stats = ScrubberStats()
         sim.process(self._run(), name="scrubber")
 
@@ -133,8 +131,6 @@ class ConfigurationScrubber:
                     started = self.injector.mark_repaired(region)
                     if started is not None:
                         self.stats.corrupted_ns += self.sim.now - started
-                if self.trace:
-                    self.trace.record(self.sim.now, f"scrub.{region}", "repair", detail=module)
 
     def availability(self, horizon_ns: int) -> float:
         """Fraction of the horizon the configurations were intact (exact

@@ -11,10 +11,11 @@ tie-break, independent of how many other boards share the calendar or in
 which order they were registered.
 
 Identity is namespaced per board through its :class:`~repro.sim.Trace`: each
-board records into its own trace whose ``scope`` is the board name, and the
-observability bridge renders each scope as its own Perfetto process lane.
-Actor names *inside* a trace stay board-relative (``region.D1`` on every
-board), so per-board traces compare byte-for-byte across boards and runs.
+board records into its own trace whose ``scope`` is the board name and the
+process of its sim-clock spans, so each board renders as its own Perfetto
+process lane.  Actor names *inside* a trace stay board-relative
+(``region.D1`` on every board), so per-board traces compare equal across
+boards and runs.
 """
 
 from __future__ import annotations

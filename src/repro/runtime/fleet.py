@@ -561,7 +561,7 @@ def run_fleet(
         boards, sim = _run_kernel_boards(config, arch, schedules, sink=recorder)
         per_board = [board.stats.to_dict() for board in boards]
         end_time_ns = sim.now
-        open_traces = [board.trace for board in boards if board.trace is not None]
+        traces = [board.trace for board in boards if board.trace is not None]
     else:
 
         def replay(index: int, sink) -> tuple[dict, int]:
@@ -578,10 +578,10 @@ def run_fleet(
         # The per-engine parity tests pin the fast counters to the kernel's,
         # so the traced subset replays on the kernel only for its lanes.
         traced = min(config.trace_boards, config.n_boards)
-        open_traces = []
+        traces = []
         if traced:
             traced_boards, _ = _run_kernel_boards(config, arch, schedules[:traced])
-            open_traces = [b.trace for b in traced_boards if b.trace is not None]
+            traces = [b.trace for b in traced_boards if b.trace is not None]
     if recorder is not None:
         recorder.flush(telemetry, policy=config.policy, n_boards=config.n_boards)
     wall_s = time.perf_counter() - t0
@@ -590,10 +590,8 @@ def run_fleet(
         dict(zip(per_board[0], map(sum, zip(*(stats.values() for stats in per_board)))))
         if per_board else {}
     )
-    traces = []
-    for trace in open_traces:
+    for trace in traces:
         trace.close_open(end_time_ns)
-        traces.append(trace)
     return FleetReport(
         policy=config.policy,
         traffic=config.traffic,

@@ -1,8 +1,10 @@
 """Discrete-event simulation kernel.
 
-A small, deterministic, dependency-free discrete-event simulator in the style
-of SimPy, used to execute the synchronized executives produced by the AAA
-adequation step and to model runtime reconfiguration latency.
+A small, deterministic discrete-event simulator in the style of SimPy, used
+to execute the synchronized executives produced by the AAA adequation step
+and to model runtime reconfiguration latency.  Its only dependency inside the
+package is :mod:`repro.obs.tracer`: a :class:`Trace` reads back as
+``clock="sim"`` spans of the unified span model.
 
 Time is integral (nanoseconds by convention, see :mod:`repro.sim.units`), so
 simulations are exactly reproducible across platforms.
@@ -19,14 +21,8 @@ from repro.sim.kernel import (
     Timeout,
 )
 from repro.sim.channels import Channel, Mailbox, Resource, Semaphore, Signal
-from repro.sim.trace import Trace, TraceRecord, Span
-from repro.sim.metrics import (
-    Accumulator,
-    UtilizationTracker,
-    busy_time,
-    interval_union,
-    stall_time,
-)
+from repro.sim.trace import Trace
+from repro.sim.metrics import interval_union
 from repro.sim import units
 
 __all__ = [
@@ -44,12 +40,6 @@ __all__ = [
     "Semaphore",
     "Signal",
     "Trace",
-    "TraceRecord",
-    "Span",
-    "Accumulator",
-    "UtilizationTracker",
-    "busy_time",
     "interval_union",
-    "stall_time",
     "units",
 ]

@@ -1,20 +1,10 @@
-"""Metric helpers over traces and raw samples."""
+"""Metric helpers over trace intervals."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.sim.trace import Span, Trace
-
-__all__ = [
-    "interval_union",
-    "busy_time",
-    "stall_time",
-    "UtilizationTracker",
-    "Accumulator",
-]
+__all__ = ["interval_union"]
 
 
 def interval_union(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -27,81 +17,3 @@ def interval_union(intervals: Iterable[tuple[int, int]]) -> list[tuple[int, int]
         else:
             merged.append((s, e))
     return merged
-
-
-def busy_time(spans: Sequence[Span]) -> int:
-    """Total non-overlapping busy time covered by ``spans``."""
-    return sum(e - s for s, e in interval_union((sp.start, sp.end) for sp in spans))
-
-
-def stall_time(trace: Trace, actor: str) -> int:
-    """Total time ``actor`` spent in spans of kind ``stall``."""
-    return busy_time(trace.spans_of(actor=actor, kind="stall"))
-
-
-@dataclass
-class UtilizationTracker:
-    """Utilization of an actor over a horizon, from its trace spans."""
-
-    trace: Trace
-    actor: str
-
-    def utilization(self, kind: str | None = None, horizon: int | None = None) -> float:
-        spans = self.trace.spans_of(actor=self.actor, kind=kind)
-        total = horizon if horizon is not None else self.trace.end_time()
-        if total <= 0:
-            return 0.0
-        return busy_time(spans) / total
-
-
-class Accumulator:
-    """Streaming summary statistics (count / mean / variance / extrema).
-
-    Welford's algorithm; numerically stable for long simulations.
-    """
-
-    def __init__(self) -> None:
-        self.n = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-        self.total = 0.0
-
-    def add(self, x: float) -> None:
-        self.n += 1
-        self.total += x
-        delta = x - self._mean
-        self._mean += delta / self.n
-        self._m2 += delta * (x - self._mean)
-        self.minimum = min(self.minimum, x)
-        self.maximum = max(self.maximum, x)
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
-
-    @property
-    def mean(self) -> float:
-        return self._mean if self.n else 0.0
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / self.n if self.n else 0.0
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "n": float(self.n),
-            "mean": self.mean,
-            "std": self.stddev,
-            "min": self.minimum if self.n else 0.0,
-            "max": self.maximum if self.n else 0.0,
-            "total": self.total,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Accumulator(n={self.n}, mean={self.mean:.3g}, std={self.stddev:.3g})"

@@ -50,7 +50,7 @@ def trace_to_vcd(
     signals = signals or {}
 
     # Collect variables.
-    span_keys = sorted({(s.actor, s.kind) for s in trace.spans})
+    span_keys = sorted({(s.track, s.attributes["kind"]) for s in trace.spans})
     variables: list[tuple[str, str]] = []  # (vcd_id, label)
     for actor, kind in span_keys:
         variables.append((f"{actor}.{kind}", "wire"))
@@ -90,7 +90,7 @@ def trace_to_vcd(
         vcd_id = ids[label]
         emit(0, vcd_id, 0, "wire")
         merged = interval_union(
-            (s.start, s.end) for s in trace.spans_of(actor=actor, kind=kind)
+            (s.start_ns, s.end_ns) for s in trace.spans_of(actor=actor, kind=kind)
         )
         for start, end in merged:
             emit(start, vcd_id, 1, "wire")

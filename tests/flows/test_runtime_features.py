@@ -5,6 +5,7 @@ import pytest
 from repro.flows import DesignFlow, SystemSimulation, parse_constraints
 from repro.mccdma import Modulation
 from repro.mccdma.casestudy import build_mccdma_design
+from repro.obs import NOOP_TRACER, Tracer, use_tracer
 from repro.reconfig import ReconfigError, ReconfigurationManager
 from repro.reconfig.memory import BitstreamStore
 from repro.reconfig.ports import ICAP_V2
@@ -128,6 +129,32 @@ def test_runtime_trace_contains_port_and_compute_activity(startup_flow):
     # Gantt rendering works on the combined trace.
     chart = trace.gantt(width=60)
     assert "op.F1" in chart
+
+
+def test_traced_run_hands_the_tracer_its_trace_spans(startup_flow, monkeypatch):
+    """The tracer adopts the trace's own span objects, under the run's
+    ``runtime:simulate`` span; an untraced run hands over none."""
+    plan = [Modulation.QPSK, Modulation.QAM16]
+    run = SystemSimulation(
+        startup_flow, n_iterations=len(plan),
+        selector_values={"modulation": lambda it: plan[it]},
+    )
+    tracer = Tracer()
+    with use_tracer(tracer):
+        result = run.run()
+    (simulate,) = [s for s in tracer.spans if s.name == "runtime:simulate"]
+    sim_spans = [s for s in tracer.spans if s.clock == "sim"]
+    trace_spans = result.execution.trace.spans
+    assert sim_spans and len(sim_spans) == len(trace_spans)
+    assert all(a is b for a, b in zip(sim_spans, trace_spans))
+    assert {s.context.parent_id for s in sim_spans} == {simulate.context.span_id}
+    assert {s.context.trace_id for s in sim_spans} == {tracer.trace_id}
+
+    adopted = []
+    monkeypatch.setattr(NOOP_TRACER, "add_spans", adopted.extend, raising=False)
+    untraced = run.run()
+    assert adopted == []
+    assert all(s.context.parent_id is None for s in untraced.execution.trace.spans)
 
 
 def test_throughput_reporting(startup_flow):

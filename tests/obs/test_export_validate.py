@@ -77,6 +77,8 @@ def test_validator_catches_broken_traces(tmp_path):
              "args": {"span_id": "s2", "parent_id": "missing", "trace_id": "t1"}},
             {"ph": "X", "name": "b", "ts": 0, "dur": 1, "pid": 1, "tid": 1,
              "args": {"span_id": "s3", "trace_id": "t2"}},
+            {"ph": "X", "name": "c", "ts": 0, "dur": 1, "pid": 1, "tid": 1,
+             "args": {"span_id": "s3", "trace_id": "t2"}},
             {"ph": "B", "name": "open", "pid": 1, "tid": 1},
             {"ph": "?", "name": "junk"},
         ]
@@ -88,6 +90,7 @@ def test_validator_catches_broken_traces(tmp_path):
     assert "'B' never closed" in text
     assert "unknown phase" in text
     assert "2 traces" in text
+    assert "duplicate span_id 's3'" in text
     assert validate_trace_file(tmp_path / "absent.json")[0].startswith("cannot read")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -110,7 +110,7 @@ def test_builder_load_process_takes_estimated_time():
     assert outcome.duration_ns == builder.estimate_ns(50_000)
     assert sim.now == outcome.duration_ns
     spans = trace.spans_of(kind="reconfig")
-    assert len(spans) == 1 and spans[0].detail == "D1<-qpsk"
+    assert len(spans) == 1 and spans[0].attributes["detail"] == "D1<-qpsk"
 
 
 def test_builder_serializes_port_access():

@@ -24,9 +24,7 @@ def make_system(scrub_interval_ns, upset_interval_ns=None, seed=1):
     if upset_interval_ns is not None:
         injector = SEUInjector(sim, builder, ["D1"], upset_interval_ns, seed=seed)
         builder.upset_injector = lambda region, module: False
-    scrubber = ConfigurationScrubber(
-        sim, manager, scrub_interval_ns, injector=injector, trace=trace
-    )
+    scrubber = ConfigurationScrubber(sim, manager, scrub_interval_ns, injector=injector)
     return sim, manager, builder, injector, scrubber
 
 

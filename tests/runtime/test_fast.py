@@ -223,7 +223,6 @@ def test_traced_boards_ride_the_kernel_inside_the_fast_engine():
     assert fast.digest() == kernel.digest()
     assert [t.scope for t in fast.traces] == ["b0000", "b0001"]
     for fast_trace, kernel_trace in zip(fast.traces, kernel.traces):
-        assert fast_trace.records == kernel_trace.records
         assert fast_trace.spans == kernel_trace.spans
 
 

@@ -4,15 +4,16 @@ import math
 
 import pytest
 
-from repro.sim import Accumulator, Span, Trace, UtilizationTracker, busy_time, interval_union, stall_time
+from repro.sim import Trace, interval_union
 from repro.sim import units
 
 
 def test_trace_begin_end_span():
     tr = Trace()
     tr.begin(10, "fpga.D1", "compute", detail="qpsk")
-    span = tr.end(25, "fpga.D1", "compute")
-    assert span.duration == 15
+    tr.end(25, "fpga.D1", "compute")
+    (span,) = tr.spans
+    assert span.duration_ns == 15
     assert tr.spans_of("fpga.D1") == [span]
 
 
@@ -38,20 +39,17 @@ def test_trace_end_before_begin_rejected():
 
 def test_trace_records_query_sorted():
     tr = Trace()
-    tr.record(5, "m", "request", "cfg2")
-    tr.record(2, "m", "request", "cfg1")
-    tr.record(9, "n", "grant")
-    recs = tr.records_of(actor="m")
-    assert [r.time for r in recs] == [2, 5]
+    tr.begin(5, "m", "request", "cfg2")
+    tr.end(6, "m", "request")
+    tr.begin(2, "m", "request", "cfg1")
+    tr.end(4, "m", "request")
+    tr.begin(3, "n", "grant")
+    tr.end(9, "n", "grant")
+    spans = tr.spans_of(actor="m")
+    assert [(s.start_ns, s.attributes["detail"]) for s in spans] == [(2, "cfg1"), (5, "cfg2")]
+    assert [s.track for s in tr.spans_of(kind="grant")] == ["n"]
     assert tr.end_time() == 9
-
-
-def test_span_overlap():
-    a = Span("x", "compute", 0, 10)
-    b = Span("x", "compute", 9, 12)
-    c = Span("x", "compute", 10, 12)
-    assert a.overlaps(b)
-    assert not a.overlaps(c)
+    assert Trace().end_time() == 0
 
 
 def test_interval_union_merges():
@@ -61,49 +59,15 @@ def test_interval_union_merges():
     assert interval_union([(0, 2), (2, 4)]) == [(0, 4)]  # adjacent merge
 
 
-def test_busy_and_stall_time():
-    tr = Trace()
-    tr.add_span(Span("op", "compute", 0, 10))
-    tr.add_span(Span("op", "compute", 5, 12))
-    tr.add_span(Span("op", "stall", 12, 20))
-    assert busy_time(tr.spans_of("op", "compute")) == 12
-    assert stall_time(tr, "op") == 8
-
-
-def test_utilization_tracker():
-    tr = Trace()
-    tr.add_span(Span("op", "compute", 0, 30))
-    tr.add_span(Span("op", "stall", 30, 100))
-    ut = UtilizationTracker(tr, "op")
-    assert ut.utilization(kind="compute") == pytest.approx(0.3)
-    assert ut.utilization(kind="compute", horizon=60) == pytest.approx(0.5)
-
-
 def test_gantt_renders_rows():
     tr = Trace()
-    tr.add_span(Span("dsp", "compute", 0, 50))
-    tr.add_span(Span("fpga", "reconfig", 50, 100))
+    tr.begin(0, "dsp", "compute")
+    tr.end(50, "dsp", "compute")
+    tr.begin(50, "fpga", "reconfig")
+    tr.end(100, "fpga", "reconfig")
     chart = tr.gantt(width=20)
     assert "dsp" in chart and "fpga" in chart
     assert "#" in chart and "R" in chart
-
-
-def test_accumulator_statistics():
-    acc = Accumulator()
-    acc.extend([1.0, 2.0, 3.0, 4.0])
-    assert acc.mean == pytest.approx(2.5)
-    assert acc.stddev == pytest.approx(math.sqrt(1.25))
-    assert acc.minimum == 1.0
-    assert acc.maximum == 4.0
-    assert acc.total == 10.0
-    assert acc.summary()["n"] == 4
-
-
-def test_accumulator_empty():
-    acc = Accumulator()
-    assert acc.mean == 0.0
-    assert acc.variance == 0.0
-    assert acc.summary()["min"] == 0.0
 
 
 def test_units_conversions():

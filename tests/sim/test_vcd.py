@@ -3,7 +3,7 @@
 import re
 
 
-from repro.sim import Signal, Simulator, Span, Trace
+from repro.sim import Signal, Simulator, Trace
 from repro.sim.vcd import _identifier, trace_to_vcd
 
 
@@ -13,11 +13,16 @@ def test_identifier_uniqueness():
     assert all(all(33 <= ord(c) <= 126 for c in i) for i in ids)
 
 
+def add_span(tr, actor, kind, start, end):
+    tr.begin(start, actor, kind)
+    tr.end(end, actor, kind)
+
+
 def make_trace():
     tr = Trace()
-    tr.add_span(Span("op.F1", "compute", 10, 50))
-    tr.add_span(Span("op.F1", "compute", 60, 90))
-    tr.add_span(Span("port.icap", "reconfig", 20, 70))
+    add_span(tr, "op.F1", "compute", 10, 50)
+    add_span(tr, "op.F1", "compute", 60, 90)
+    add_span(tr, "port.icap", "reconfig", 20, 70)
     return tr
 
 
@@ -46,8 +51,8 @@ def test_vcd_span_toggles():
 
 def test_vcd_merges_overlapping_spans():
     tr = Trace()
-    tr.add_span(Span("x", "compute", 0, 50))
-    tr.add_span(Span("x", "compute", 40, 80))
+    add_span(tr, "x", "compute", 0, 50)
+    add_span(tr, "x", "compute", 40, 80)
     vcd = trace_to_vcd(tr)
     m = re.search(r"\$var wire 1 (\S+) x\.compute \$end", vcd)
     wid = re.escape(m.group(1))

@@ -25,15 +25,6 @@ def test_resource_use_helper():
     assert order == [("a", 10), ("b", 20)]
 
 
-def test_trace_filter_and_payloads():
-    tr = Trace()
-    tr.record(5, "mgr", "load_start", detail="qpsk", payload={"bytes": 10})
-    tr.record(9, "mgr", "load_end", detail="qpsk")
-    hits = list(tr.filter(lambda r: r.kind == "load_start"))
-    assert len(hits) == 1 and hits[0].payload == {"bytes": 10}
-    assert tr.actors() == ["mgr"]
-
-
 def test_gantt_empty_trace():
     assert Trace().gantt() == "(empty trace)"
 

@@ -389,6 +389,25 @@ def test_trace_command_runs_sim_and_renders_gantt(tmp_path):
     assert validate_trace_file(trace_path) == []
 
 
+def test_trace_command_honours_the_global_trace_path(tmp_path, monkeypatch):
+    """``repro --trace PATH trace`` writes PATH and its manifest and nothing
+    in the working directory; a bare ``repro trace`` writes trace.json."""
+    from repro.obs import validate_trace_file
+
+    work = tmp_path / "cwd"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    trace_path = tmp_path / "global.json"
+    code, text = run_cli("--trace", str(trace_path), "trace", "-n", "4")
+    assert code == 0, text
+    assert validate_trace_file(trace_path) == []
+    assert (tmp_path / "global.manifest.json").is_file()
+    assert list(work.iterdir()) == []
+    code, text = run_cli("trace", "-n", "4")
+    assert code == 0, text
+    assert sorted(p.name for p in work.iterdir()) == ["trace.json", "trace.manifest.json"]
+
+
 def test_trace_check_mode(tmp_path):
     good = tmp_path / "good.json"
     run_cli("--trace", str(good), "table1")

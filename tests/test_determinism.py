@@ -57,7 +57,10 @@ def test_executive_simulation_deterministic():
         report = ExecutiveRunner(program, n_iterations=5).run()
         return (
             report.end_time_ns,
-            tuple((s.actor, s.kind, s.start, s.end) for s in report.trace.spans),
+            tuple(
+                (s.track, s.attributes["kind"], s.start_ns, s.end_ns)
+                for s in report.trace.spans
+            ),
         )
 
     assert run_once() == run_once()
