@@ -9,6 +9,8 @@ from typing import Iterable, Optional, Sequence
 __all__ = ["vhdl_identifier", "Port", "VhdlWriter"]
 
 _IDENT_RE = re.compile(r"^[a-zA-Z][a-zA-Z0-9_]*$")
+_ILLEGAL_RE = re.compile(r"[^a-zA-Z0-9_]")
+_UNDERSCORES_RE = re.compile(r"_+")
 _RESERVED = {
     "abs", "access", "after", "alias", "all", "and", "architecture", "array",
     "assert", "attribute", "begin", "block", "body", "buffer", "bus", "case",
@@ -28,8 +30,8 @@ _RESERVED = {
 
 def vhdl_identifier(name: str) -> str:
     """Sanitize an arbitrary design name into a legal VHDL identifier."""
-    ident = re.sub(r"[^a-zA-Z0-9_]", "_", name)
-    ident = re.sub(r"_+", "_", ident).strip("_")
+    ident = _ILLEGAL_RE.sub("_", name)
+    ident = _UNDERSCORES_RE.sub("_", ident).strip("_")
     if not ident or not ident[0].isalpha():
         ident = "s_" + ident
     if ident.lower() in _RESERVED:

@@ -216,6 +216,7 @@ class ExecutiveRunner:
         config_service: Optional[Any] = None,
         capture: Optional[set[str]] = None,
         channel_capacity: int = 1,
+        trace: Optional[Trace] = None,
     ):
         if n_iterations < 1:
             raise ValueError("need at least one iteration")
@@ -225,7 +226,7 @@ class ExecutiveRunner:
         self.sim = sim or Simulator()
         self.bindings = bindings or {}
         self.selector_values = selector_values or {}
-        self.trace = Trace()
+        self.trace = trace if trace is not None else Trace()
         self.config_service = config_service or FixedLatencyConfigService(
             self.sim, latency_ns=0, trace=self.trace
         )

@@ -150,14 +150,21 @@ def parse_word_stream(words: list[int], frame_payload_words: int) -> dict:
 
 
 def _frame_payload(module_name: str, block: int, major: int, minor: int, nbytes: int) -> bytes:
-    """Deterministic synthetic frame content derived from module identity."""
-    seed = f"{module_name}:{block}:{major}:{minor}".encode()
-    out = bytearray()
-    counter = 0
-    while len(out) < nbytes:
-        out.extend(hashlib.sha256(seed + counter.to_bytes(4, "big")).digest())
-        counter += 1
-    return bytes(out[:nbytes])
+    """Deterministic synthetic frame content derived from module identity.
+
+    The format, pinned by the tests: with ``seed`` the UTF-8 bytes of
+    ``f"{module_name}:{block}:{major}:{minor}"``, block ``i`` (from 0) is
+    ``sha256(seed + i.to_bytes(4, "big")).digest()``, and the payload is the
+    blocks' concatenation cut to ``nbytes``.  SHA-256 streams, so the seed is
+    hashed once and each block continues from a copy of that state.
+    """
+    seeded = hashlib.sha256(f"{module_name}:{block}:{major}:{minor}".encode())
+    blocks = []
+    for counter in range(-(-nbytes // seeded.digest_size)):
+        block_hash = seeded.copy()
+        block_hash.update(counter.to_bytes(4, "big"))
+        blocks.append(block_hash.digest())
+    return b"".join(blocks)[:nbytes]
 
 
 def generate_partial_bitstream(

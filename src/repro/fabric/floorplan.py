@@ -155,10 +155,21 @@ class Floorplan:
         return [c for c in range(self.device.clb_cols) if c not in dynamic]
 
     def static_capacity(self) -> ResourceVector:
-        """Resources available to the static part (excludes bus-macro TBUFs)."""
-        total = ResourceVector()
-        for col in self.static_columns():
-            total = total + self.device.column_span_capacity(col, 1)
+        """Resources available to the static part (excludes bus-macro TBUFs).
+
+        The sum of ``column_span_capacity(col, 1)`` over the static columns,
+        built in one vector: each static column brings its CLBs, and BRAM
+        column ``c`` belongs to the CLB column ``c - 1`` it sits right of.
+        """
+        device = self.device
+        static = self.static_columns()
+        owned = set(static)
+        brams = sum(device.brams_per_col for c in device.bram_cols if c - 1 in owned)
+        clb, n = device.column_span_capacity(0, 1), len(static)
+        total = ResourceVector(
+            slices=clb.slices * n, luts=clb.luts * n, ffs=clb.ffs * n, tbufs=clb.tbufs * n,
+            brams=brams, mults=brams,
+        )
         macro_tbufs = sum(m.tbufs // 2 for macros in self.bus_macros.values() for m in macros)
         return total - ResourceVector(tbufs=min(macro_tbufs, total.tbufs))
 

@@ -25,20 +25,19 @@ class ResourceVector:
     mults: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in _FIELDS:
+            v = getattr(self, name)
             if not isinstance(v, int):
-                raise TypeError(f"{f.name} must be an int, got {type(v).__name__}")
+                raise TypeError(f"{name} must be an int, got {type(v).__name__}")
             if v < 0:
-                raise ValueError(f"{f.name} must be >= 0, got {v}")
+                raise ValueError(f"{name} must be >= 0, got {v}")
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_mapping(cls, counts: Mapping[str, int]) -> "ResourceVector":
         """Build from a dict; unknown keys are rejected loudly."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(counts) - known
+        unknown = set(counts) - set(_FIELDS)
         if unknown:
             raise KeyError(f"unknown resource keys: {sorted(unknown)}")
         return cls(**{k: int(v) for k, v in counts.items()})
@@ -53,30 +52,30 @@ class ResourceVector:
     # -- arithmetic ------------------------------------------------------------
 
     def __add__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(**{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)})
+        return ResourceVector(*[getattr(self, n) + getattr(other, n) for n in _FIELDS])
 
     def __sub__(self, other: "ResourceVector") -> "ResourceVector":
-        return ResourceVector(**{f.name: getattr(self, f.name) - getattr(other, f.name) for f in fields(self)})
+        return ResourceVector(*[getattr(self, n) - getattr(other, n) for n in _FIELDS])
 
     def scaled(self, factor: float) -> "ResourceVector":
         """Ceil-scaled copy (used for safety margins)."""
-        return ResourceVector(**{f.name: int(-(-getattr(self, f.name) * factor // 1)) for f in fields(self)})
+        return ResourceVector(*[int(-(-getattr(self, n) * factor // 1)) for n in _FIELDS])
 
     # -- queries ---------------------------------------------------------------
 
     def fits_in(self, capacity: "ResourceVector") -> bool:
-        return all(getattr(self, f.name) <= getattr(capacity, f.name) for f in fields(self))
+        return all(getattr(self, n) <= getattr(capacity, n) for n in _FIELDS)
 
     def headroom(self, capacity: "ResourceVector") -> dict[str, int]:
         """Remaining capacity per resource (may be negative if over budget)."""
-        return {f.name: getattr(capacity, f.name) - getattr(self, f.name) for f in fields(self)}
+        return {n: getattr(capacity, n) - getattr(self, n) for n in _FIELDS}
 
     def utilization(self, capacity: "ResourceVector") -> dict[str, float]:
         out = {}
-        for f in fields(self):
-            cap = getattr(capacity, f.name)
-            used = getattr(self, f.name)
-            out[f.name] = used / cap if cap else 0.0
+        for n in _FIELDS:
+            cap = getattr(capacity, n)
+            used = getattr(self, n)
+            out[n] = used / cap if cap else 0.0
         return out
 
     def dominant_utilization(self, capacity: "ResourceVector") -> float:
@@ -84,12 +83,16 @@ class ResourceVector:
         return max(self.utilization(capacity).values(), default=0.0)
 
     def as_dict(self) -> dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {n: getattr(self, n) for n in _FIELDS}
 
     @property
     def is_zero(self) -> bool:
-        return all(getattr(self, f.name) == 0 for f in fields(self))
+        return all(getattr(self, n) == 0 for n in _FIELDS)
 
     def __str__(self) -> str:
         parts = [f"{name}={v}" for name, v in self.as_dict().items() if v]
         return "ResourceVector(" + (", ".join(parts) or "0") + ")"
+
+
+#: The field names in declaration order, resolved once.
+_FIELDS: tuple[str, ...] = tuple(f.name for f in fields(ResourceVector))

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional, Type
 
 from repro.aaa.adequation import AdequationResult, adequate
+from repro.aaa.costs import CostModel
 from repro.aaa.mapping import MappingConstraints
 from repro.aaa.recon_aware import ReconfigAwareScheduler
 from repro.aaa.scheduler import ListSchedulerBase
@@ -252,6 +253,11 @@ class DesignFlow:
         # the device-independent stages schedule against a neutral copy so
         # their cached artifacts are pure functions of their cache keys.
         sched_arch = board.architecture.device_neutral()
+        # One cost model for both adequation passes: the refine pass derives
+        # its model with the measured latencies and reuses the durations,
+        # routes and scheduling tables the first pass built (a first pass
+        # served from the cache leaves them for the refine pass to build).
+        costs = CostModel(graph, sched_arch, library)
 
         fp_graph = fingerprint_graph(graph)
         fp_arch = fingerprint_architecture(board.architecture)
@@ -296,6 +302,7 @@ class DesignFlow:
                 constraints=self.mapping,
                 scheduler=self.scheduler,
                 validate=False,
+                costs=costs,
                 **scheduler_kwargs,
             )
 
@@ -329,8 +336,8 @@ class DesignFlow:
                 library,
                 constraints=self.mapping,
                 scheduler=self.scheduler,
-                reconfig_ns=dict(modular.reconfig_latency_ns),
                 validate=False,
+                costs=costs.with_latencies(modular.reconfig_latency_ns),
                 **scheduler_kwargs,
             )
 

@@ -94,7 +94,7 @@ class Board:
         ``run()`` drives the kernel, so use it only for single-board runs —
         fleet boards are driven by request schedules instead.
         """
-        runner = ExecutiveRunner(
+        self.runner = ExecutiveRunner(
             program,
             n_iterations=n_iterations,
             sim=self.sim,
@@ -102,11 +102,9 @@ class Board:
             selector_values=selector_values,
             config_service=self.manager,
             capture=capture,
+            trace=self.trace,
         )
-        if self.trace is not None:
-            runner.trace = self.trace
-        self.runner = runner
-        return runner
+        return self.runner
 
     def run_executive(self) -> ExecutionReport:
         """Run the attached executive to completion (single-board use)."""

@@ -11,7 +11,9 @@ from repro.fabric import (
     Netlist,
     NetlistModule,
     ResourceVector,
+    XC2V1000,
     XC2V2000,
+    XC2V3000,
 )
 from repro.fabric.floorplan import MIN_WIDTH_CLB, WIDTH_STEP_CLB
 from repro.fabric.netlist import NetlistPort
@@ -175,3 +177,51 @@ def test_floorplanner_invariants_property(luts_a, luts_b, bits):
     assert 0 <= p.col0 and p.col_end <= XC2V2000.clb_cols
     worst_luts = max(luts_a, luts_b)
     assert plan.region_capacity("D1").luts >= worst_luts
+
+
+# -- static capacity against the column-by-column sum ----------------------------
+
+DEVICES = [XC2V1000, XC2V2000, XC2V3000]
+
+
+def column_sum_capacity(plan):
+    """The static capacity as one-column spans add up (no bus macros)."""
+    return ResourceVector.sum(plan.device.column_span_capacity(c, 1) for c in plan.static_columns())
+
+
+@pytest.mark.parametrize("device", DEVICES, ids=lambda d: d.name)
+def test_static_capacity_next_to_every_bram_column_and_edge(device):
+    spans = [(0, 2), (device.clb_cols - 2, 2), (0, device.clb_cols)]
+    for c in device.bram_cols:
+        spans += [(c - 1, 2), (c, 2), (c - 2, 2), (c + 1, 2)]
+    for col0, width in spans:
+        plan = Floorplan(device)
+        try:
+            plan.place("D1", col0, width)
+        except FloorplanError:
+            continue
+        assert plan.static_capacity() == column_sum_capacity(plan), (col0, width)
+    assert Floorplan(device).static_capacity() == device.capacity()
+
+
+@st.composite
+def placed_plans(draw):
+    device = draw(st.sampled_from(DEVICES))
+    plan = Floorplan(device)
+    for i in range(draw(st.integers(0, 4))):
+        width = draw(st.integers(1, device.clb_cols // 2)) * WIDTH_STEP_CLB
+        near = [0, device.clb_cols - width]
+        for c in device.bram_cols:
+            near += [c - 1, c, c - width, c + 1 - width]
+        col0 = draw(st.one_of(st.sampled_from(near), st.integers(0, device.clb_cols - width)))
+        try:
+            plan.place(f"D{i + 1}", col0, width)
+        except FloorplanError:
+            pass
+    return plan
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=placed_plans())
+def test_static_capacity_matches_the_column_sum(plan):
+    assert plan.static_capacity() == column_sum_capacity(plan)

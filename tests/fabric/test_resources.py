@@ -1,5 +1,7 @@
 """Tests for resource vectors."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -103,3 +105,46 @@ def test_scaled_identity(v):
 def test_scaled_never_shrinks(v, factor):
     s = v.scaled(factor)
     assert v.fits_in(s)
+
+
+# -- differential against a reference built on dataclasses.fields ------------
+
+FIELD_NAMES = [f.name for f in dataclasses.fields(ResourceVector)]
+
+
+def reference(v):
+    return {name: getattr(v, name) for name in FIELD_NAMES}
+
+
+@given(a=vectors, b=vectors, factor=st.floats(min_value=0.0, max_value=3.0))
+def test_methods_match_a_fields_reference(a, b, factor):
+    ra, rb = reference(a), reference(b)
+    assert reference(a + b) == {n: ra[n] + rb[n] for n in FIELD_NAMES}
+    if all(ra[n] >= rb[n] for n in FIELD_NAMES):
+        assert reference(a - b) == {n: ra[n] - rb[n] for n in FIELD_NAMES}
+    else:
+        with pytest.raises(ValueError):
+            _ = a - b
+    assert reference(a.scaled(factor)) == {n: int(-(-ra[n] * factor // 1)) for n in FIELD_NAMES}
+    assert a.fits_in(b) == all(ra[n] <= rb[n] for n in FIELD_NAMES)
+    assert list(a.headroom(b).items()) == [(n, rb[n] - ra[n]) for n in FIELD_NAMES]
+    assert list(a.utilization(b).items()) == [
+        (n, ra[n] / rb[n] if rb[n] else 0.0) for n in FIELD_NAMES
+    ]
+    assert list(a.as_dict().items()) == list(ra.items())
+    assert a.is_zero == all(ra[n] == 0 for n in FIELD_NAMES)
+
+
+@given(counts=st.dictionaries(st.sampled_from(FIELD_NAMES), small_ints))
+def test_from_mapping_matches_a_fields_reference(counts):
+    assert reference(ResourceVector.from_mapping(counts)) == {n: counts.get(n, 0) for n in FIELD_NAMES}
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+def test_every_field_is_checked_by_name(name):
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got float$"):
+        ResourceVector(**{name: 1.0})
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+        ResourceVector(**{name: -1})
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got -1$"):
+        ResourceVector() - ResourceVector(**{name: 1})

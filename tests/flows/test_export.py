@@ -1,5 +1,7 @@
 """Tests for executive serialization and the build-directory export."""
 
+import hashlib
+
 import pytest
 
 from repro.executive import ExecutiveRunner
@@ -122,3 +124,20 @@ def test_export_without_optional_parts(flow_result, tmp_path):
     relative = {str(p.relative_to(tmp_path)) for p in written}
     assert not any(r.startswith("bitstreams/") for r in relative)
     assert not any("tb_" in r for r in relative)
+
+
+#: sha256 of the case study's exported partial bitstreams (address word +
+#: payload per frame), as ``repro export`` writes them.
+CASE_STUDY_BIT_SHA256 = {
+    "D1_dyn_D1_mod_qam16.bit": "6c61e3863c4fff55a9be1ad52a3db64df95c92e3ecc71f17165f980d4480fca8",
+    "D1_dyn_D1_mod_qpsk.bit": "96351f62c857e5895afe82b82026ec349dccd3928a8b28f8ab50386b6a018cff",
+}
+
+
+def test_exported_bitstream_bytes_are_pinned(flow_result, tmp_path):
+    export_build_directory(flow_result, tmp_path, include_testbenches=False)
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (tmp_path / "bitstreams").iterdir()
+    }
+    assert written == CASE_STUDY_BIT_SHA256

@@ -1,5 +1,10 @@
 """Board: byte-identity with the hand-built stack, multi-board interleaving."""
 
+from repro.aaa import SynDExScheduler, adequate
+from repro.arch import sundance_board
+from repro.dfg.generators import chain_graph
+from repro.dfg.library import default_library
+from repro.executive import generate_executive, interpreter
 from repro.reconfig import (
     ProtocolConfigurationBuilder,
     ReconfigurationManager,
@@ -143,3 +148,32 @@ def test_board_with_policy_bundle_and_schedule_generator():
     # Two slots over two modules per region: after warmup everything is
     # resident, so the clairvoyant run serves most demands instantly.
     assert board.stats.resident_hits + board.stats.instant_hits > 30
+
+
+def test_attached_executive_records_into_the_board_trace(monkeypatch):
+    """The runner gets the board's trace at construction: attaching builds
+    no trace of its own, while a standalone runner still does."""
+    graph = chain_graph(3)
+    schedule = adequate(
+        graph, sundance_board().architecture, default_library(), scheduler=SynDExScheduler
+    ).schedule
+    program = generate_executive(graph, schedule)
+    arch = case_a_standalone()
+    trace = Trace()
+    board = Board("board", Simulator(), arch, make_store(arch), trace=trace)
+
+    built = []
+
+    class CountingTrace(Trace):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(interpreter, "Trace", CountingTrace)
+    runner = board.attach_executive(program, n_iterations=2)
+    assert built == []
+    assert runner.trace is trace
+    assert board.run_executive().trace is trace
+
+    standalone = interpreter.ExecutiveRunner(program)
+    assert built == [standalone.trace]
