@@ -14,48 +14,23 @@ Runs the paper's case study through the flow without writing any code::
     python -m repro tail fleet.jsonl                # replay a telemetry stream
     python -m repro search --groups 3 --budget 300 --seed 1 --trace search.json
     python -m repro bench-check --backfill          # benchmark regression gate
+
+One output contract: a handler returns a :class:`_Result` and
+:func:`_dispatch` alone prints it.  Status lines go to stdout in text mode
+and to stderr under ``--json``, so that stdout holds the text or one JSON
+document.  Exit codes: 0 ok, 1 work that failed, 2 bad input, 3 an SLO
+breach.  Importing this module loads no ``repro`` layer: each handler
+imports what it runs, so ``repro --help`` costs little more than Python.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import pathlib
 import sys
-from contextlib import ExitStack
-from typing import Optional, Sequence
-
-from repro.codegen.testbench import generate_all_testbenches
-from repro.flows import (
-    DesignFlow,
-    SystemSimulation,
-    flow_rows,
-    parse_constraints,
-    render_profile,
-    table1_report,
-)
-from repro.obs import (
-    NOOP_TRACER,
-    Telemetry,
-    Tracer,
-    build_manifest,
-    get_telemetry,
-    get_tracer,
-    manifest_path_for,
-    render_region_gantt,
-    render_region_gantt_svg,
-    use_telemetry,
-    use_tracer,
-    validate_trace_file,
-    write_chrome_trace,
-    write_manifest,
-)
-from repro.mccdma import SnrTrace
-from repro.mccdma.bindings import make_case_study_bindings
-from repro.mccdma.casestudy import build_mccdma_design
-from repro.reconfig import case_a_standalone, case_b_processor
-from repro.runtime import ENGINES, TRAFFIC_PATTERNS, get_bundle, policy_names
+from contextlib import ExitStack, contextmanager
+from typing import NamedTuple, Optional, Sequence
 
 __all__ = ["main", "build_parser"]
 
@@ -73,180 +48,191 @@ sharing   = true
 exclusive = mod_qpsk, mod_qam16
 """
 
-_ARCHITECTURES = {
-    "case_a": case_a_standalone,
-    "case_b": case_b_processor,
-}
+# Parser choices are static, so that building the parser loads no layer;
+# tests/test_cli.py holds each one equal to the registry it mirrors.
+#: CLI name -> constructor in ``repro.reconfig`` of that Fig. 2 architecture
+#: (and the ``name`` of the architecture it builds).
+_ARCHITECTURES = {"case_a": "case_a_standalone", "case_b": "case_b_processor"}
+#: ``repro.runtime.policy_names()``: every registered policy bundle.
+_POLICIES = (
+    "belady", "confidence", "fixed", "history", "lfu", "lru", "markov", "none", "on_select",
+)
+#: The bundles that need the whole demand schedule up front.
+_CLAIRVOYANT = ("belady",)
+_ONLINE_POLICIES = tuple(name for name in _POLICIES if name not in _CLAIRVOYANT)
+_ENGINES = ("fast", "kernel")
+_TRAFFIC_PATTERNS = ("poisson", "diurnal", "thrash")
 
 
-def _policy_name(value: str) -> str:
-    """Argparse type: one registered policy name, validated at parse time.
+class _Result(NamedTuple):
+    """A handler's exit code, text, ``--json`` document, and a status line
+    that follows them (the regression count)."""
 
-    Clairvoyant bundles (Belady) need the demand schedule up front; the
-    runtime-simulation surfaces generate demands on the fly, so those names
-    are rejected here rather than deep inside a worker process.
+    code: int
+    text: Optional[str] = None
+    doc: object = None
+    note: Optional[str] = None
+
+
+class _BadInput(Exception):
+    """A flag value or input file the command cannot use: ``error:``, exit 2."""
+
+
+@contextmanager
+def _bad_input(*errors: type):
+    """Build configuration objects from flag values; their errors are bad input.
+
+    Catches ``errors``, by default the library's ``ValueError`` (or the
+    ``KeyError`` of a catalogue lookup).  Wrap only the building, never the
+    work itself, or a real bug would read as bad input.
     """
     try:
-        bundle = get_bundle(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown policy {value!r}; known policies: {', '.join(policy_names())}"
-        ) from None
-    if bundle.needs_future:
-        usable = ", ".join(policy_names(include_future=False))
-        raise argparse.ArgumentTypeError(
-            f"policy {value!r} is clairvoyant (needs the full demand schedule) "
-            f"and only works with the fleet driver; pick one of: {usable}"
-        )
-    return value
+        yield
+    except (errors or (ValueError, KeyError)) as err:
+        raise _BadInput(err.args[0] if isinstance(err, KeyError) else err) from None
 
 
-def _policy_list(value: str) -> list[str]:
-    """Argparse type: comma-separated registry policy names (fleet allows all)."""
-    names = [name.strip() for name in value.split(",") if name.strip()]
+def _policy_names(value: str, fleet: bool = False):
+    """Argparse type: registry policy names, validated at parse time.
+
+    The fleet takes a comma-separated list of any registered names.  The
+    other drivers take one name and generate demands on the fly, so a
+    clairvoyant bundle (Belady), which needs the full demand schedule up
+    front, is rejected here rather than deep inside a worker process.
+    """
+    names = [name.strip() for name in value.split(",") if name.strip()] if fleet else [value]
     if not names:
         raise argparse.ArgumentTypeError("empty policy list")
     for name in names:
-        try:
-            get_bundle(name)
-        except ValueError:
+        if name not in _POLICIES:
             raise argparse.ArgumentTypeError(
-                f"unknown policy {name!r}; known policies: {', '.join(policy_names())}"
-            ) from None
-    return names
+                f"unknown policy {name!r}; known policies: {', '.join(_POLICIES)}"
+            )
+        if name in _CLAIRVOYANT and not fleet:
+            raise argparse.ArgumentTypeError(
+                f"policy {name!r} is clairvoyant (needs the full demand schedule) "
+                f"and only works with the fleet driver; pick one of: {', '.join(_ONLINE_POLICIES)}"
+            )
+    return names if fleet else value
+
+
+def _architecture(name: str):
+    """The Fig. 2 reconfiguration architecture a CLI name selects."""
+    from repro.reconfig import architectures
+
+    return getattr(architectures, _ARCHITECTURES[name])()
 
 
 def _run_flow(args) -> "tuple":
+    from repro.flows import DesignFlow, parse_constraints
+    from repro.mccdma.casestudy import build_mccdma_design
+
     design = build_mccdma_design()
     flow = DesignFlow.from_design(
         design,
         dynamic_constraints=parse_constraints(CASE_STUDY_CONSTRAINTS),
-        reconfig_architecture=_ARCHITECTURES[args.architecture](),
+        reconfig_architecture=_architecture(args.architecture),
         prefetch=not getattr(args, "reactive", False),
     )
     flow.mapping.pin("bit_src", "DSP").pin("select", "DSP")
     return design, flow.run()
 
 
-def _maybe_profile(args, out, aggregate: bool = False) -> None:
-    """Print the profile of the run's recording when ``--profile`` was given."""
-    if args.profile:
-        print(render_profile(get_tracer().spans, aggregate=aggregate), file=_status_stream(args, out))
-
-
-def _cmd_flow(args, out) -> int:
+def _cmd_flow(args, status) -> _Result:
     _, result = _run_flow(args)
-    _maybe_profile(args, out)
-    if getattr(args, "json", False):
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True), file=out)
-    else:
-        print(result.report(), file=out)
-    return 0
+    return _Result(0, result.report(), result.to_dict())
 
 
-def _cmd_table1(args, out) -> int:
+def _cmd_table1(args, status) -> _Result:
+    from repro.flows import table1_report
+
     design, result = _run_flow(args)
-    _maybe_profile(args, out)
-    print(table1_report(design.library, flow=result), file=out)
-    return 0
+    return _Result(0, table1_report(design.library, flow=result))
 
 
-def _cmd_macrocode(args, out) -> int:
+def _cmd_macrocode(args, status) -> _Result:
     _, result = _run_flow(args)
-    _maybe_profile(args, out)
-    print(result.executive.render(), file=out)
-    return 0
+    return _Result(0, result.executive.render())
 
 
-def _cmd_graph_dump(args, out) -> int:
-    from repro.dfg import io as dfg_io
-    from repro.mccdma.casestudy import build_mccdma_graph
-
-    text = dfg_io.dumps(build_mccdma_graph())
-    if args.out:
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out}", file=out)
+def _cmd_dump(args, status) -> _Result:
+    """``graph-dump`` and ``board-dump``: the case study's two input graphs."""
+    if args.command == "graph-dump":
+        from repro.dfg.io import dumps
+        from repro.mccdma.casestudy import build_mccdma_graph as build
     else:
-        print(text, file=out)
-    return 0
+        from repro.arch.boards import sundance_board as build
+        from repro.arch.io import dumps
+
+    text = dumps(build())
+    if not args.out:
+        return _Result(0, text)
+    pathlib.Path(args.out).write_text(text)
+    return _Result(0, f"wrote {args.out}")
 
 
-def _cmd_board_dump(args, out) -> int:
-    from repro.arch import io as arch_io
-    from repro.arch.boards import sundance_board
-
-    text = arch_io.dumps(sundance_board())
-    if args.out:
-        pathlib.Path(args.out).write_text(text)
-        print(f"wrote {args.out}", file=out)
-    else:
-        print(text, file=out)
-    return 0
-
-
-def _cmd_export(args, out) -> int:
+def _cmd_export(args, status) -> _Result:
     from repro.flows.export import export_build_directory
 
     _, result = _run_flow(args)
-    _maybe_profile(args, out)
     written = export_build_directory(result, args.out)
-    for path in written:
-        print(f"wrote {path}", file=out)
-    print(f"{len(written)} artefacts under {args.out}", file=out)
-    return 0
+    lines = [f"wrote {path}" for path in written]
+    lines.append(f"{len(written)} artefacts under {args.out}")
+    return _Result(0, "\n".join(lines))
 
 
-def _cmd_vhdl(args, out) -> int:
-    _, result = _run_flow(args)
-    _maybe_profile(args, out)
+def _cmd_vhdl(args, status) -> _Result:
+    from repro.codegen.testbench import generate_all_testbenches
+
     target = pathlib.Path(args.out)
     target.mkdir(parents=True, exist_ok=True)
+    _, result = _run_flow(args)
     files = dict(result.generated.files)
     files.update(generate_all_testbenches(result.generated.files))
     files["top.ucf"] = result.modular.ucf
+    lines = []
     for name, text in sorted(files.items()):
         (target / name).write_text(text)
-        print(f"wrote {target / name}", file=out)
-    return 0
+        lines.append(f"wrote {target / name}")
+    return _Result(0, "\n".join(lines))
 
 
-def _cmd_sweep(args, out) -> int:
+def _cmd_sweep(args, status) -> _Result:
+    import dataclasses
+
     from repro.exec.engine import ParallelSweepEngine
     from repro.fabric.device import device_by_name
+    from repro.flows import parse_constraints
     from repro.flows.designspace import design_point_from_payload, sweep_jobs_for_grid
     from repro.mccdma.casestudy import build_mccdma_design
 
     design = build_mccdma_design()
-    try:
+    names = [name.strip() for name in args.sweep_architectures.split(",")]
+    with _bad_input():
         devices = tuple(device_by_name(name.strip()) for name in args.devices.split(","))
-    except KeyError as err:
-        print(f"error: {err.args[0]}", file=out)
-        return 2
-    unknown = [
-        name.strip()
-        for name in args.sweep_architectures.split(",")
-        if name.strip() not in _ARCHITECTURES
-    ]
-    if unknown:
-        print(
-            f"error: unknown architecture(s) {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(_ARCHITECTURES))}",
-            file=out,
+        unknown = [name for name in names if name not in _ARCHITECTURES]
+        if unknown:
+            raise _BadInput(
+                f"unknown architecture(s) {', '.join(unknown)}; "
+                f"known: {', '.join(sorted(_ARCHITECTURES))}"
+            )
+        engine = ParallelSweepEngine(
+            jobs=args.jobs,
+            timeout_s=args.timeout,
+            retries=args.retries,
+            cache_dir=args.cache_dir,
+            sweep_name=f"designspace:{design.graph.name}",
         )
-        return 2
-    architectures = tuple(
-        _ARCHITECTURES[name.strip()]() for name in args.sweep_architectures.split(",")
-    )
     jobs = sweep_jobs_for_grid(
         design.graph,
         design.library,
         devices=devices,
-        architectures=architectures,
+        architectures=tuple(_architecture(name) for name in names),
         dynamic_constraints=parse_constraints(CASE_STUDY_CONSTRAINTS),
         pins=(("bit_src", "DSP"), ("select", "DSP")),
-        prefetch=not getattr(args, "reactive", False),
+        prefetch=not args.reactive,
     )
-    if getattr(args, "trace", None) or args.simulate_iterations:
+    if args.trace or args.simulate_iterations:
         # A traced sweep should show real reconfiguration activity, so each
         # fitting point also runs a short system simulation in its worker.
         n_iter = args.simulate_iterations or 8
@@ -256,29 +242,17 @@ def _cmd_sweep(args, out) -> int:
             )
             for job in jobs
         ]
-    with ParallelSweepEngine(
-        jobs=args.jobs,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        cache_dir=args.cache_dir,
-        sweep_name=f"designspace:{design.graph.name}",
-    ) as engine:
+    with engine:
         report = engine.run(jobs)
-    _maybe_profile(args, out, aggregate=True)
-    if args.json:
-        payload = report.to_dict()
-        payload["points"] = [
-            design_point_from_payload(r).render() for r in report.results
-        ]
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-    else:
-        for result in report.results:
-            print(design_point_from_payload(result).render(), file=out)
-        print(report.summary(), file=out)
-    return 0 if not report.failed else 1
+    points = [design_point_from_payload(result).render() for result in report.results]
+    doc = report.to_dict()
+    doc["points"] = points
+    return _Result(1 if report.failed else 0, "\n".join([*points, report.summary()]), doc)
 
 
 def _make_snr(pattern: str, n: int):
+    from repro.mccdma import SnrTrace
+
     if pattern == "step":
         return SnrTrace.step(low_db=8.0, high_db=22.0, period=max(1, n // 4), n=n)
     if pattern == "walk":
@@ -288,11 +262,16 @@ def _make_snr(pattern: str, n: int):
     raise ValueError(f"unknown SNR pattern {pattern!r}")
 
 
-def _cmd_simulate(args, out) -> int:
+def _simulate(args) -> "tuple":
+    """The case-study flow, then ``--iterations`` runtime iterations on real
+    MC-CDMA data: what ``simulate`` and ``trace`` share."""
+    from repro.flows import SystemSimulation
+    from repro.mccdma.bindings import make_case_study_bindings
+    from repro.obs import NOOP_TRACER, get_tracer, use_tracer
+
+    with _bad_input():
+        state = make_case_study_bindings(_make_snr(args.pattern, args.iterations), seed=args.seed)
     _, result = _run_flow(args)
-    _maybe_profile(args, out)
-    snr = _make_snr(args.pattern, args.iterations)
-    state = make_case_study_bindings(snr, seed=args.seed)
     # Only a --trace file reads the kernel's spans: for --profile and
     # --log-json the simulation runs untraced, as it does without them.
     with use_tracer(get_tracer() if args.trace else NOOP_TRACER):
@@ -303,12 +282,15 @@ def _cmd_simulate(args, out) -> int:
             policy=args.policy,  # registry name; SystemSimulation resolves it
             capture={"dac"},
         ).run()
-    print(runtime.summary(), file=out)
-    plan = ", ".join(m.value for m in state.selected)
-    print(f"modulation plan: {plan}", file=out)
+    return state, runtime
+
+
+def _cmd_simulate(args, status) -> _Result:
+    state, runtime = _simulate(args)
+    lines = [runtime.summary(), f"modulation plan: {', '.join(m.value for m in state.selected)}"]
     if args.gantt:
-        print(runtime.execution.trace.gantt(width=72), file=out)
-    return 0
+        lines.append(runtime.execution.trace.gantt(width=72))
+    return _Result(0, "\n".join(lines))
 
 
 def _parse_snr_grid(spec: str) -> list[float]:
@@ -329,32 +311,31 @@ def _parse_snr_grid(spec: str) -> list[float]:
     return [float(p) for p in spec.split(",") if p.strip()]
 
 
-def _cmd_linklevel(args, out) -> int:
+def _cmd_linklevel(args, status) -> _Result:
     from repro.mccdma.engine import LinkEngineConfig, LinkSimulationEngine
     from repro.mccdma.transmitter import MCCDMAConfig
 
-    try:
-        snr_points = _parse_snr_grid(args.snr)
-    except ValueError as err:
-        print(f"error: {err}", file=out)
-        return 2
-    if not snr_points:
-        print("error: empty SNR grid", file=out)
-        return 2
     strategies = [name.strip() for name in args.strategies.split(",") if name.strip()]
-    unknown = [s for s in strategies if s not in ("qpsk", "qam16", "adaptive")]
-    if unknown:
-        print(f"error: unknown strategy(ies) {', '.join(unknown)}", file=out)
-        return 2
+    with _bad_input():
+        snr_points = _parse_snr_grid(args.snr)
+        if not snr_points:
+            raise _BadInput("empty SNR grid")
+        unknown = [s for s in strategies if s not in ("qpsk", "qam16", "adaptive")]
+        if unknown:
+            raise _BadInput(f"unknown strategy(ies) {', '.join(unknown)}")
+        engine = LinkSimulationEngine(
+            config=MCCDMAConfig(user_codes=tuple(range(args.users))),
+            engine=LinkEngineConfig(
+                batch_frames=args.batch,
+                batched=not args.reference,
+                ci_halfwidth=args.ci_halfwidth,
+            ),
+        )
+        curves = {
+            strategy: engine.point_jobs(strategy, snr_points, args.frames, seed=args.seed)
+            for strategy in strategies
+        }
     report: dict[str, list[dict]] = {}
-    engine = LinkSimulationEngine(
-        config=MCCDMAConfig(user_codes=tuple(range(args.users))),
-        engine=LinkEngineConfig(
-            batch_frames=args.batch,
-            batched=not args.reference,
-            ci_halfwidth=args.ci_halfwidth,
-        ),
-    )
     with ExitStack() as stack:
         pool = None
         if args.jobs > 0 and len(strategies) > 1:
@@ -363,92 +344,70 @@ def _cmd_linklevel(args, out) -> int:
             from repro.exec.pool import WorkerPool
 
             pool = stack.enter_context(WorkerPool(args.jobs, name="linklevel"))
-        for strategy in strategies:
-            results = engine.sweep_points(
-                strategy, snr_points, args.frames, seed=args.seed,
-                jobs=args.jobs, timeout_s=args.timeout, pool=pool,
+        for strategy, point_jobs in curves.items():
+            results = engine.run_points(
+                point_jobs, jobs=args.jobs, timeout_s=args.timeout, pool=pool
             )
             report[strategy] = [
                 {"snr_db": snr, **result.to_dict(), "ber": result.ber}
                 for snr, result in zip(snr_points, results)
             ]
-    _maybe_profile(args, out)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True), file=out)
-    else:
-        for strategy in strategies:
-            print(f"{strategy}:", file=out)
-            for row in report[strategy]:
-                print(
-                    f"  snr {row['snr_db']:+6.2f} dB  ber {row['ber']:.3e}  "
-                    f"frames {row['n_frames']:4d}  goodput "
-                    f"{row['delivered_bits'] / max(row['n_frames'], 1):.1f} bits/frame",
-                    file=out,
-                )
-    return 0
+    lines = []
+    for strategy in strategies:
+        lines.append(f"{strategy}:")
+        for row in report[strategy]:
+            lines.append(
+                f"  snr {row['snr_db']:+6.2f} dB  ber {row['ber']:.3e}  "
+                f"frames {row['n_frames']:4d}  goodput "
+                f"{row['delivered_bits'] / max(row['n_frames'], 1):.1f} bits/frame"
+            )
+    return _Result(0, "\n".join(lines), report)
 
 
-def _cmd_trace(args, out) -> int:
-    """Traced case-study run producing the paper's Fig. 4 residency view.
+def _cmd_trace(args, status) -> _Result:
+    """Traced case-study run producing the paper's Fig. 4 residency view."""
+    from repro.obs import get_tracer, render_region_gantt, render_region_gantt_svg
 
-    ``--check PATH`` instead validates an existing Chrome trace file (span
-    parent chain, phase vocabulary, timestamps) and exits non-zero on errors.
-    """
-    if args.check:
-        errors = validate_trace_file(args.check)
-        if errors:
-            for error in errors:
-                print(f"INVALID: {error}", file=out)
-            print(f"{args.check}: {len(errors)} error(s)", file=out)
-            return 1
-        print(f"{args.check}: OK", file=out)
-        return 0
-    _, result = _run_flow(args)
-    _maybe_profile(args, out)
-    snr = _make_snr(args.pattern, args.iterations)
-    state = make_case_study_bindings(snr, seed=args.seed)
-    runtime = SystemSimulation(
-        result,
-        n_iterations=args.iterations,
-        bindings=state.bindings,
-        policy=args.policy,
-        capture={"dac"},
-    ).run()
-    print(runtime.summary(), file=out)
-    tracer = get_tracer()
-    if tracer.enabled:
-        print(render_region_gantt(tracer.spans), file=out)
-        if args.svg:
-            svg_path = pathlib.Path(args.svg)
-            svg_path.parent.mkdir(parents=True, exist_ok=True)
-            svg_path.write_text(render_region_gantt_svg(tracer.spans), encoding="utf-8")
-            print(f"wrote {svg_path}", file=out)
-    return 0
+    _, runtime = _simulate(args)
+    spans = get_tracer().spans
+    lines = [runtime.summary(), render_region_gantt(spans)]
+    if args.svg:
+        svg_path = pathlib.Path(args.svg)
+        svg_path.parent.mkdir(parents=True, exist_ok=True)
+        svg_path.write_text(render_region_gantt_svg(spans), encoding="utf-8")
+        lines.append(f"wrote {svg_path}")
+    return _Result(0, "\n".join(lines))
 
 
-def _cmd_search(args, out) -> int:
+def _cmd_check_trace(args, status) -> _Result:
+    """``trace --check PATH``: validate an existing Chrome trace file (span
+    parent chain, phase vocabulary, timestamps); exit 1 on errors."""
+    from repro.obs import validate_trace_file
+
+    errors = validate_trace_file(args.check)
+    if errors:
+        lines = [f"INVALID: {error}" for error in errors]
+        lines.append(f"{args.check}: {len(errors)} error(s)")
+        return _Result(1, "\n".join(lines))
+    return _Result(0, f"{args.check}: OK")
+
+
+def _cmd_search(args, status) -> _Result:
     """Annealed partition/schedule/floorplan co-optimization vs fixed sweep."""
     from repro.dfg.generators import multiregion_graph
     from repro.dfg.library import default_library
     from repro.fabric.device import device_by_name
-    from repro.flows.designspace import search_multiregion
+    from repro.flows.designspace import search_multiregion_space
+    from repro.obs import get_telemetry
+    from repro.search import SearchConfig, SearchSpace
 
-    try:
+    with _bad_input():
         device = device_by_name(args.device)
-    except KeyError as err:
-        print(f"error: {err.args[0]}", file=out)
-        return 2
-    graph = multiregion_graph(n_groups=args.groups, alternatives=args.alternatives)
-    report = search_multiregion(
-        graph,
-        default_library(),
-        device=device,
-        architecture=_ARCHITECTURES[args.architecture](),
-        method=args.method,
-        budget=args.budget,
-        seed=args.seed,
-        restarts=args.restarts,
-        max_regions=args.max_regions,
+        graph = multiregion_graph(n_groups=args.groups, alternatives=args.alternatives)
+        config = SearchConfig(budget=args.budget, seed=args.seed, restarts=args.restarts)
+        space = SearchSpace(graph, default_library(), device=device, max_regions=args.max_regions)
+    report = search_multiregion_space(
+        space, config, architecture=_architecture(args.architecture), method=args.method
     )
     hub = get_telemetry()
     if hub is not None:
@@ -461,12 +420,7 @@ def _cmd_search(args, out) -> int:
         totals.gauge_set("search.best_total_ns", 0, result.best_cost.total_ns)
         totals.gauge_set("search.best_makespan_ns", 0, result.best_cost.makespan_ns)
         totals.gauge_set("search.violations", 0, len(result.best_cost.violations))
-    _maybe_profile(args, out, aggregate=True)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True), file=out)
-    else:
-        print(report.render(), file=out)
-    return 0
+    return _Result(0, report.render(), report.to_dict())
 
 
 def _fleet_slo_rules(args) -> list:
@@ -499,20 +453,18 @@ def _fleet_slo_rules(args) -> list:
     return rules
 
 
-def _status_stream(args, out):
-    """Where the profile and "wrote ..." lines go: stderr under ``--json``, so stdout parses."""
-    return sys.stderr if getattr(args, "json", False) else out
+def _redraw(stream, text: str) -> None:
+    """Repaint a live dashboard: clear-screen only when ``stream`` is a tty."""
+    if getattr(stream, "isatty", lambda: False)():
+        print("\x1b[2J\x1b[H", end="", file=stream)
+    print(text, file=stream)
 
 
-def _redraw(out, text: str) -> None:
-    """Repaint a live dashboard: clear-screen only when ``out`` is a tty."""
-    if getattr(out, "isatty", lambda: False)():
-        print("\x1b[2J\x1b[H", end="", file=out)
-    print(text, file=out)
-
-
-def _cmd_fleet(args, out) -> int:
+def _cmd_fleet(args, status) -> _Result:
     """Multiplex a fleet of boards on one kernel; frontier across policies."""
+    import dataclasses
+
+    from repro.obs import get_telemetry, get_tracer
     from repro.runtime import FleetConfig, generate_fleet_schedules, run_fleet
 
     tracer = get_tracer()
@@ -522,7 +474,7 @@ def _cmd_fleet(args, out) -> int:
     trace_boards = args.trace_boards
     if trace_boards is None:
         trace_boards = 3 if args.trace else 0
-    try:
+    with _bad_input():
         base = FleetConfig(
             n_boards=args.boards,
             requests_per_board=args.requests,
@@ -531,16 +483,16 @@ def _cmd_fleet(args, out) -> int:
             regions=args.regions,
             modules_per_region=args.modules,
             region_slots=args.slots,
-            architecture=_ARCHITECTURES[args.architecture]().name,
+            architecture=_ARCHITECTURES[args.architecture],
             mean_gap_ns=args.mean_gap,
             trace_boards=trace_boards,
             engine=args.engine,
         )
         if args.telemetry_window < 1:
-            raise ValueError(f"telemetry_window must be >= 1, got {args.telemetry_window}")
-    except ValueError as err:
-        print(f"error: {err}", file=out)
-        return 2
+            raise _BadInput(f"telemetry_window must be >= 1, got {args.telemetry_window}")
+    if args.telemetry is not None:
+        telemetry_path = pathlib.Path(args.telemetry)
+        telemetry_path.parent.mkdir(parents=True, exist_ok=True)
     # One traffic-generation pass serves every policy: schedules depend
     # only on (seed, board_id, traffic).
     schedules = generate_fleet_schedules(base)
@@ -584,58 +536,46 @@ def _cmd_fleet(args, out) -> int:
         if monitor is not None:
             breaches.extend(monitor.evaluate())
         if args.live:
-            done = len(reports)
             _redraw(
-                out,
+                status,
                 render_dashboard(
                     store,
                     last=args.live_windows,
                     breaches=breaches,
-                    title=f"fleet {done}/{len(args.policy)} policies "
+                    title=f"fleet {len(reports)}/{len(args.policy)} policies "
                     f"({args.boards} boards x {args.requests} req)",
                     ascii_only=args.ascii,
                 ),
             )
     if args.telemetry is not None:
-        telemetry_path = pathlib.Path(args.telemetry)
-        telemetry_path.parent.mkdir(parents=True, exist_ok=True)
         rows = store.write_jsonl(telemetry_path)
-        print(f"wrote telemetry {telemetry_path} ({rows} rows)", file=_status_stream(args, out))
-    if args.json:
-        payload = {name: report.to_dict() for name, report in reports.items()}
-        if monitor is not None and monitor.rules:
-            payload["slo_breaches"] = [breach.to_dict() for breach in breaches]
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 3 if breaches else 0
-    for report in reports.values():
-        print(report.summary(), file=out)
-    print(file=out)
-    print(f"{'policy':12s} {'hit rate':>9s} {'mean stall':>12s} {'req/s':>12s} {'digest':>12s}", file=out)
+        print(f"wrote telemetry {telemetry_path} ({rows} rows)", file=status)
+    doc = {name: report.to_dict() for name, report in reports.items()}
+    lines = [report.summary() for report in reports.values()]
+    lines += ["", f"{'policy':12s} {'hit rate':>9s} {'mean stall':>12s} {'req/s':>12s} {'digest':>12s}"]
     for name, report in reports.items():
-        print(
+        lines.append(
             f"{name:12s} {report.hit_rate:9.1%} {report.mean_stall_ns / 1e3:10.1f}us "
-            f"{report.requests_per_sec:12,.0f} {report.digest()[:12]:>12s}",
-            file=out,
+            f"{report.requests_per_sec:12,.0f} {report.digest()[:12]:>12s}"
         )
     if monitor is not None and monitor.rules:
+        doc["slo_breaches"] = [breach.to_dict() for breach in breaches]
         if breaches:
-            print(file=out)
-            for breach in breaches:
-                print(f"SLO BREACH: {breach.describe()}", file=out)
-            print(f"{len(breaches)} SLO breach(es)", file=out)
-            return 3
-        print(f"SLO: {len(monitor.rules)} rule(s), no breaches", file=out)
-    return 0
+            lines += ["", *(f"SLO BREACH: {breach.describe()}" for breach in breaches)]
+            lines.append(f"{len(breaches)} SLO breach(es)")
+        else:
+            lines.append(f"SLO: {len(monitor.rules)} rule(s), no breaches")
+    return _Result(3 if breaches else 0, "\n".join(lines), doc)
 
 
-def _cmd_tail(args, out) -> int:
+def _cmd_tail(args, status) -> _Result:
     """Render a telemetry JSONL stream as the fleet dashboard.
 
     One-shot by default (read, render, exit — safe for CI and pipes);
     ``--follow`` re-reads and repaints whenever the file grows, the
     ``top``-style view of a run writing telemetry elsewhere.
     """
-    import time as _time
+    import time
 
     from repro.obs.dashboard import render_dashboard
     from repro.obs.telemetry import SloMonitor, TimeSeriesStore
@@ -647,19 +587,17 @@ def _cmd_tail(args, out) -> int:
             size = path.stat().st_size
         except OSError:
             if not args.follow:
-                print(f"error: cannot read {path}", file=out)
-                return 2
+                raise _BadInput(f"cannot read {path}") from None
             size = -1
         if size != last_size and size >= 0:
             last_size = size
             try:
                 store = TimeSeriesStore.read_jsonl(path)
             except ValueError as err:
-                print(f"error: {path}: {err}", file=out)
-                return 2
+                raise _BadInput(f"{path}: {err}") from None
             breaches = SloMonitor(store, _fleet_slo_rules(args)).evaluate()
             _redraw(
-                out,
+                status,
                 render_dashboard(
                     store,
                     last=args.live_windows,
@@ -669,44 +607,40 @@ def _cmd_tail(args, out) -> int:
                 ),
             )
         if not args.follow:
-            return 0
+            return _Result(0)
         try:
-            _time.sleep(args.interval)
+            time.sleep(args.interval)
         except KeyboardInterrupt:  # pragma: no cover - interactive only
-            return 0
+            return _Result(0)
 
 
-def _cmd_bench_check(args, out) -> int:
+def _cmd_bench_check(args, status) -> _Result:
     """The benchmark-history regression gate (and its --backfill mode)."""
-    from repro.obs.history import DEFAULT_HISTORY_PATH, backfill, bench_check
+    import dataclasses
+
+    from repro.obs.history import DEFAULT_HISTORY_PATH, HistoryError, backfill, bench_check
 
     history_path = pathlib.Path(args.history) if args.history else DEFAULT_HISTORY_PATH
-    if args.backfill:
-        entries = backfill(args.results_dir, history_path)
-        print(f"backfilled {len(entries)} entries into {history_path}", file=out)
-        if not args.check_after_backfill:
-            return 0
-    results = bench_check(
-        history_path,
-        threshold_pct=args.threshold,
-        trailing=args.trailing,
-        benches=args.bench or None,
-    )
-    if args.json:
-        print(
-            json.dumps([dataclasses.asdict(r) for r in results], indent=2, sort_keys=True),
-            file=out,
+    with _bad_input(HistoryError):
+        if args.backfill:
+            entries = backfill(args.results_dir, history_path)
+            print(f"backfilled {len(entries)} entries into {history_path}", file=status)
+            if not args.check_after_backfill:
+                return _Result(0, None, [entry.to_dict() for entry in entries])
+        results = bench_check(
+            history_path,
+            threshold_pct=args.threshold,
+            trailing=args.trailing,
+            benches=args.bench or None,
         )
-    else:
-        if not results:
-            print(f"{history_path}: no history entries to check", file=out)
-        for result in results:
-            print(result.describe(), file=out)
-    regressions = [r for r in results if r.status == "regression"]
-    if regressions:
-        print(f"{len(regressions)} regression(s) beyond {args.threshold:g}%", file=out)
-        return 1
-    return 0
+    lines = [result.describe() for result in results]
+    regressions = sum(1 for result in results if result.status == "regression")
+    return _Result(
+        1 if regressions else 0,
+        "\n".join(lines or [f"{history_path}: no history entries to check"]),
+        [dataclasses.asdict(result) for result in results],
+        f"{regressions} regression(s) beyond {args.threshold:g}%" if regressions else None,
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -735,30 +669,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_flow = sub.add_parser("flow", help="run the full design flow and print the report")
-    p_flow.add_argument(
-        "--json", action="store_true",
-        help="emit the flow result as JSON (FlowResult.to_dict()) instead of the text report",
-    )
-    sub.add_parser("table1", help="regenerate the paper's Table 1")
-    sub.add_parser("macrocode", help="print the synchronized executive")
+    def command(name, handler, help, profile=None, json_help=None):
+        """A subcommand: its handler, its ``--profile`` table layout (None,
+        "rows" or "aggregate") and, given its help text, its ``--json`` flag."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler, profile_view=profile, json=False)
+        if json_help is not None:
+            p.add_argument("--json", action="store_true", help=json_help)
+        return p
 
-    p_gd = sub.add_parser("graph-dump", help="serialize the case-study algorithm graph")
+    command(
+        "flow", _cmd_flow, "run the full design flow and print the report", "rows",
+        json_help="emit the flow result as JSON (FlowResult.to_dict()) instead of the text report",
+    )
+    command("table1", _cmd_table1, "regenerate the paper's Table 1", "rows")
+    command("macrocode", _cmd_macrocode, "print the synchronized executive", "rows")
+
+    p_gd = command("graph-dump", _cmd_dump, "serialize the case-study algorithm graph")
     p_gd.add_argument("--out", default=None, help="output file (default: stdout)")
-    p_bd = sub.add_parser("board-dump", help="serialize the Sundance board description")
+    p_bd = command("board-dump", _cmd_dump, "serialize the Sundance board description")
     p_bd.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    p_vhdl = sub.add_parser("vhdl", help="write generated VHDL, testbenches and UCF")
+    p_vhdl = command("vhdl", _cmd_vhdl, "write generated VHDL, testbenches and UCF", "rows")
     p_vhdl.add_argument("--out", required=True, help="output directory")
 
-    p_exp = sub.add_parser(
-        "export", help="write the complete build directory (HDL, UCF, executive, bitstreams, reports)"
+    p_exp = command(
+        "export", _cmd_export,
+        "write the complete build directory (HDL, UCF, executive, bitstreams, reports)", "rows",
     )
     p_exp.add_argument("--out", required=True, help="output directory")
 
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="parallel design-space sweep of the case study over devices x architectures",
+    p_sweep = command(
+        "sweep", _cmd_sweep,
+        "parallel design-space sweep of the case study over devices x architectures",
+        "aggregate", json_help="emit the sweep report as JSON instead of the point table",
     )
     p_sweep.add_argument(
         "--jobs", type=int, default=2,
@@ -784,10 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="PATH",
         help="shared on-disk artifact cache for all workers (kept across runs)",
     )
-    p_sweep.add_argument(
-        "--json", action="store_true",
-        help="emit the sweep report as JSON instead of the point table",
-    )
     p_sweep.add_argument("--reactive", action="store_true", help="reconfiguration-blind executive")
     p_sweep.add_argument(
         "--simulate-iterations", type=int, default=0, metavar="N",
@@ -795,15 +735,16 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 0; --trace implies 8 so traces show reconfiguration spans)",
     )
     p_sweep.add_argument(
-        "--simulate-policy", type=_policy_name, default="on_select",
+        "--simulate-policy", type=_policy_names, default="on_select",
         metavar="POLICY",
         help="policy-registry name for the per-point simulations "
-        f"(default: on_select; known: {', '.join(policy_names(include_future=False))})",
+        f"(default: on_select; known: {', '.join(_ONLINE_POLICIES)})",
     )
 
-    p_link = sub.add_parser(
-        "linklevel",
-        help="batched Monte-Carlo BER/goodput sweep of the MC-CDMA link",
+    p_link = command(
+        "linklevel", _cmd_linklevel,
+        "batched Monte-Carlo BER/goodput sweep of the MC-CDMA link", "rows",
+        json_help="emit results as JSON",
     )
     p_link.add_argument(
         "--snr", default="-2:10:2",
@@ -836,24 +777,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--reference", action="store_true",
         help="use the per-frame reference path instead of the batched kernels",
     )
-    p_link.add_argument("--json", action="store_true", help="emit results as JSON")
 
-    p_sim = sub.add_parser("simulate", help="runtime simulation with real MC-CDMA data")
-    p_sim.add_argument("-n", "--iterations", type=int, default=24)
-    p_sim.add_argument("--pattern", choices=("step", "walk", "sinus"), default="step")
-    p_sim.add_argument(
-        "--policy", type=_policy_name, default="none", metavar="POLICY",
-        help="policy-registry name "
-        f"(known: {', '.join(policy_names(include_future=False))})",
+    p_sim = command(
+        "simulate", _cmd_simulate, "runtime simulation with real MC-CDMA data", "rows"
     )
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--reactive", action="store_true", help="reconfiguration-blind executive")
+    _add_simulation_args(p_sim, policy="none")
     p_sim.add_argument("--gantt", action="store_true", help="print an ASCII Gantt chart")
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="traced flow + runtime simulation with the Fig. 4 region-residency "
-        "Gantt, or --check to validate an existing trace file",
+    p_trace = command(
+        "trace", _cmd_trace,
+        "traced flow + runtime simulation with the Fig. 4 region-residency "
+        "Gantt, or --check to validate an existing trace file", "rows",
     )
     # SUPPRESS keeps a missing --out from overwriting the global --trace
     # PATH (a subparser's defaults land on the shared namespace).
@@ -870,20 +804,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", metavar="PATH", default=None,
         help="validate an existing Chrome trace file instead of running anything",
     )
-    p_trace.add_argument("-n", "--iterations", type=int, default=24)
-    p_trace.add_argument("--pattern", choices=("step", "walk", "sinus"), default="step")
-    p_trace.add_argument(
-        "--policy", type=_policy_name, default="on_select", metavar="POLICY",
-        help="policy-registry name "
-        f"(known: {', '.join(policy_names(include_future=False))})",
-    )
-    p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--reactive", action="store_true", help="reconfiguration-blind executive")
+    _add_simulation_args(p_trace, policy="on_select")
 
-    p_search = sub.add_parser(
-        "search",
-        help="co-optimize partitioning, region count and floorplan by "
+    p_search = command(
+        "search", _cmd_search,
+        "co-optimize partitioning, region count and floorplan by "
         "simulated annealing; report the fixed-sweep frontier alongside",
+        "aggregate", json_help="emit the report as JSON",
     )
     p_search.add_argument(
         "--method", choices=("anneal", "greedy", "random"), default="anneal",
@@ -914,22 +841,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--device", default="xc2v2000",
         help="Virtex-II part hosting the regions (default: xc2v2000)",
     )
-    p_search.add_argument("--json", action="store_true", help="emit the report as JSON")
 
-    p_fleet = sub.add_parser(
-        "fleet",
-        help="multiplex a fleet of boards on one event kernel and compare "
+    p_fleet = command(
+        "fleet", _cmd_fleet,
+        "multiplex a fleet of boards on one event kernel and compare "
         "management policies (hit-rate / stall frontier)",
+        json_help="emit reports as JSON",
     )
     p_fleet.add_argument("--boards", type=int, default=100, help="boards in the fleet")
     p_fleet.add_argument("--requests", type=int, default=200, help="requests per board")
     p_fleet.add_argument(
-        "--policy", type=_policy_list, default=["none", "fixed", "history"],
-        metavar="P1,P2,...",
+        "--policy", type=lambda value: _policy_names(value, fleet=True),
+        default=["none", "fixed", "history"], metavar="P1,P2,...",
         help="comma-separated policy-registry names to frontier "
-        f"(known: {', '.join(policy_names())})",
+        f"(known: {', '.join(_POLICIES)})",
     )
-    p_fleet.add_argument("--traffic", choices=TRAFFIC_PATTERNS, default="poisson")
+    p_fleet.add_argument("--traffic", choices=_TRAFFIC_PATTERNS, default="poisson")
     p_fleet.add_argument("--seed", type=int, default=0)
     p_fleet.add_argument("--regions", type=int, default=2, help="dynamic regions per board")
     p_fleet.add_argument("--modules", type=int, default=4, help="modules per region")
@@ -947,11 +874,10 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: 3 when --trace is active, else 0)",
     )
     p_fleet.add_argument(
-        "--engine", choices=ENGINES, default="fast",
+        "--engine", choices=_ENGINES, default="fast",
         help="fleet engine: 'fast' (batched array-state, default) or "
         "'kernel' (reference event path); outcomes are digest-identical",
     )
-    p_fleet.add_argument("--json", action="store_true", help="emit reports as JSON")
     p_fleet.add_argument(
         "--live", action="store_true",
         help="render a live per-policy dashboard (hit rate, stall p50/p99) "
@@ -969,9 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dashboard_args(p_fleet)
     _add_slo_args(p_fleet)
 
-    p_tail = sub.add_parser(
-        "tail",
-        help="render a telemetry JSONL file (from fleet --telemetry) as the "
+    p_tail = command(
+        "tail", _cmd_tail,
+        "render a telemetry JSONL file (from fleet --telemetry) as the "
         "dashboard; --follow repaints as the file grows",
     )
     p_tail.add_argument("path", help="telemetry JSONL file to read")
@@ -986,10 +912,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dashboard_args(p_tail)
     _add_slo_args(p_tail)
 
-    p_check = sub.add_parser(
-        "bench-check",
-        help="benchmark-history regression gate: latest entry per lineage vs "
+    p_check = command(
+        "bench-check", _cmd_bench_check,
+        "benchmark-history regression gate: latest entry per lineage vs "
         "its trailing median; non-zero exit on regression",
+        json_help="emit verdicts as JSON",
     )
     p_check.add_argument(
         "--history", metavar="PATH", default=None,
@@ -1019,8 +946,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--check-after-backfill", action="store_true",
         help="with --backfill, also run the gate afterwards",
     )
-    p_check.add_argument("--json", action="store_true", help="emit verdicts as JSON")
     return parser
+
+
+def _add_simulation_args(p, policy: str) -> None:
+    """The runtime-simulation flags ``simulate`` and ``trace`` share."""
+    p.add_argument("-n", "--iterations", type=int, default=24)
+    p.add_argument("--pattern", choices=("step", "walk", "sinus"), default="step")
+    p.add_argument(
+        "--policy", type=_policy_names, default=policy, metavar="POLICY",
+        help=f"policy-registry name (known: {', '.join(_ONLINE_POLICIES)})",
+    )
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reactive", action="store_true", help="reconfiguration-blind executive")
 
 
 def _add_dashboard_args(p) -> None:
@@ -1049,81 +987,97 @@ def _add_slo_args(p) -> None:
     )
 
 
-_COMMANDS = {
-    "flow": _cmd_flow,
-    "table1": _cmd_table1,
-    "macrocode": _cmd_macrocode,
-    "graph-dump": _cmd_graph_dump,
-    "board-dump": _cmd_board_dump,
-    "vhdl": _cmd_vhdl,
-    "export": _cmd_export,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "linklevel": _cmd_linklevel,
-    "trace": _cmd_trace,
-    "search": _cmd_search,
-    "fleet": _cmd_fleet,
-    "tail": _cmd_tail,
-    "bench-check": _cmd_bench_check,
-}
+def _dispatch(args, out, status, tracer=None) -> int:
+    """Run the command's handler and print its result: the one place where
+    output is routed.  Bad input prints ``error: <message>`` and exits 2."""
+    try:
+        result = args.handler(args, status)
+    except _BadInput as err:
+        print(f"error: {err}", file=status)
+        return 2
+    if args.profile and args.profile_view:
+        from repro.flows import render_profile
+
+        table = render_profile(tracer.spans, aggregate=args.profile_view == "aggregate")
+        print(table, file=status)
+    if args.json:
+        print(json.dumps(result.doc, indent=2, sort_keys=True), file=out)
+    elif result.text is not None:
+        print(result.text, file=out)
+    if result.note is not None:
+        print(result.note, file=status)
+    return result.code
 
 
-def _run_recorded(args, out, raw_argv: list[str], trace_path: Optional[str]) -> int:
+def _run_recorded(args, out, status, raw_argv: list[str]) -> int:
     """Run the command inside one recording tracer, then write its views.
 
-    ``--profile`` prints from the recording while the command runs.  At
-    exit ``--log-json`` appends one JSON line per row of the recording, and
+    ``--profile`` prints from the recording before the output.  At exit
+    ``--log-json`` appends one JSON line per row of the recording, and
     ``--trace`` — the only view that also installs a telemetry hub — writes
     the Chrome trace (one counter lane per hub store) and its run manifest
     (argv, git revision, seed, the hub's run totals).  Both files are
     written even when the command fails: a failing run is exactly the one
     worth inspecting.
     """
-    tracer = Tracer()
-    hub = Telemetry() if trace_path else None
+    from repro import obs
+    from repro.flows import flow_rows
+
+    tracer = obs.Tracer()
+    hub = obs.Telemetry() if args.trace else None
     try:
         with ExitStack() as stack:
-            stack.enter_context(use_tracer(tracer))
+            stack.enter_context(obs.use_tracer(tracer))
             if hub is not None:
-                stack.enter_context(use_telemetry(hub))
-            return _COMMANDS[args.command](args, out)
+                stack.enter_context(obs.use_telemetry(hub))
+            return _dispatch(args, out, status, tracer)
     finally:
         if args.log_json:
             with open(args.log_json, "a", encoding="utf-8") as sink:
                 for row in flow_rows(tracer.spans):
                     sink.write(json.dumps(row.to_dict(), sort_keys=True) + "\n")
         if hub is not None:
-            trace_file = pathlib.Path(trace_path)
-            write_chrome_trace(
+            trace_file = pathlib.Path(args.trace)
+            obs.write_chrome_trace(
                 trace_file, tracer.spans,
                 metadata={"trace_id": tracer.trace_id, "command": args.command},
                 telemetry=hub,
             )
-            manifest = build_manifest(
+            manifest = obs.build_manifest(
                 argv=["repro", *raw_argv],
                 seed=getattr(args, "seed", None),
                 metrics=hub.store("run").snapshot(),
                 extra={"command": args.command, "trace_file": str(trace_file)},
             )
-            manifest_path = write_manifest(manifest_path_for(trace_file), manifest)
+            manifest_path = obs.write_manifest(obs.manifest_path_for(trace_file), manifest)
             print(
                 f"wrote trace {trace_file} ({len(tracer.spans)} spans) "
                 f"and manifest {manifest_path}",
-                file=_status_stream(args, out),
+                file=status,
             )
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "trace" and args.trace is None:
-        args.trace = "trace.json"
-    stream = out if out is not None else sys.stdout
-    # ``trace --check`` only reads a trace file; it never writes one.
-    trace_path = None if getattr(args, "check", None) else args.trace
-    if trace_path or args.profile or args.log_json:
-        raw_argv = list(argv) if argv is not None else list(sys.argv[1:])
-        return _run_recorded(args, stream, raw_argv, trace_path)
-    return _COMMANDS[args.command](args, stream)
+    if args.command == "trace":
+        if args.check:  # only reads a trace file: no flow runs, no trace is written
+            args.handler, args.profile_view, args.trace = _cmd_check_trace, None, None
+        elif args.trace is None:
+            args.trace = "trace.json"
+    out = out if out is not None else sys.stdout
+    # The status writer: stdout in text mode; stderr under --json, so that
+    # stdout holds the document alone.
+    status = sys.stderr if args.json else out
+    try:
+        if args.trace or args.profile or args.log_json:
+            raw_argv = list(argv) if argv is not None else list(sys.argv[1:])
+            return _run_recorded(args, out, status, raw_argv)
+        return _dispatch(args, out, status)
+    except OSError as err:
+        if err.filename is None:  # not a path the user named (a closed pipe, say)
+            raise
+        print(f"error: {err.filename}: {err.strerror}", file=status)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,6 +29,7 @@ __all__ = [
     "design_point_from_payload",
     "SearchReport",
     "search_multiregion",
+    "search_multiregion_space",
 ]
 
 
@@ -142,31 +143,47 @@ def search_multiregion(
 ) -> SearchReport:
     """Co-optimize partitioning, region count and floorplan for ``graph``.
 
-    Evaluates the deterministic fixed-sweep frontier (every region count
-    ``1..max_regions``) first — those evaluations land in the same memo the
-    search uses, so the frontier is free context, not extra budget — then
-    runs the requested driver on that evaluator, in-process.  Restart 0
-    starts *from* a frontier point, and the report falls back to the
-    frontier best, so the searched optimum is never worse than the best
-    fixed point given any budget >= 1.
-
-    ``jobs`` accepts only 0 (the search has no worker pool); any other
-    value raises :class:`ValueError`.
+    Builds the search space and config first, so a bad argument raises
+    :class:`ValueError` before anything is priced, then runs
+    :func:`search_multiregion_space`.  ``jobs`` accepts only 0.
     """
     if jobs != 0:
         raise ValueError(f"search_multiregion runs in-process: jobs must be 0, got {jobs}")
     # Deferred: `repro.search` imports `repro.flows.observe`, whose package
-    # import runs this module.  It also looks `run_search` up per call, which
-    # perfbench's traced run relies on when it wraps that name.
-    from repro.search import CostEvaluator, SearchConfig, SearchSpace, run_search
+    # import runs this module.
+    from repro.search import SearchConfig, SearchSpace
 
+    config = SearchConfig(budget=budget, seed=seed, restarts=restarts)
     space = SearchSpace(graph, library, device=device, max_regions=max_regions)
+    return search_multiregion_space(space, config, architecture=architecture, method=method)
+
+
+def search_multiregion_space(
+    space: Any,
+    config: Any,
+    architecture: Optional[ReconfigArchitecture] = None,
+    method: str = "anneal",
+) -> SearchReport:
+    """Search a :class:`~repro.search.SearchSpace` under a
+    :class:`~repro.search.SearchConfig` against its fixed-sweep frontier.
+
+    Evaluates the deterministic fixed-sweep frontier (every region count
+    ``1..space.max_regions``) first — those evaluations land in the same
+    memo the search uses, so the frontier is free context, not extra
+    budget — then runs the requested driver on that evaluator, in-process.
+    Restart 0 starts *from* a frontier point, and the report falls back to
+    the frontier best, so the searched optimum is never worse than the best
+    fixed point given any budget >= 1.
+    """
+    # Looks `run_search` up per call, which perfbench's traced run relies
+    # on when it wraps that name.
+    from repro.search import CostEvaluator, run_search
+
     evaluator = CostEvaluator(space, architecture=architecture or case_a_standalone())
     fixed = {
         k: evaluator.evaluate(space.initial_state(k))
         for k in range(1, space.max_regions + 1)
     }
-    config = SearchConfig(budget=budget, seed=seed, restarts=restarts)
     result = run_search(space, evaluator, config, method=method)
     # The search starts at initial_state() = the default-k frontier point,
     # so its best can only tie or beat that point; re-check against the
@@ -180,8 +197,8 @@ def search_multiregion(
         result.best_state = space.initial_state(best_k)
         result.best_cost = searched
     return SearchReport(
-        graph=graph.name,
-        device=device.name,
+        graph=space.graph.name,
+        device=space.device.name,
         architecture=evaluator.architecture.name,
         method=method,
         fixed=fixed,

@@ -52,6 +52,8 @@ class CaseStudyBindings:
     bindings: dict[str, Callable] = field(init=False)
 
     def __post_init__(self) -> None:
+        if not len(self.snr_trace):
+            raise ValueError("need at least one iteration: the SNR trace is empty")
         self._source = BitSource(self.seed)
         self._coder = ConvolutionalCoder()
         self._interleaver = BlockInterleaver(ILV_ROWS, ILV_COLS)

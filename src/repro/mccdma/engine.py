@@ -411,22 +411,21 @@ class LinkSimulationEngine:
         backoff_s: float = 0.05,
         pool=None,
     ) -> list[LinkResult]:
-        """Simulate one constant-SNR point per entry, pulled by workers.
+        """Simulate one constant-SNR point per entry: :meth:`point_jobs`,
+        then :meth:`run_points`."""
+        return self.run_points(
+            self.point_jobs(strategy, snr_points_db, n_frames, seed=seed),
+            jobs=jobs, timeout_s=timeout_s, retries=retries, backoff_s=backoff_s, pool=pool,
+        )
 
-        ``jobs=0`` runs serially in-process through the very same
-        :class:`LinkPointJob` code path the workers execute, so serial and
-        parallel sweeps are field-identical; ``jobs>=1`` reuses the
-        :class:`~repro.exec.engine.ParallelSweepEngine` scheduler (per-job
-        timeout, bounded retry with exponential backoff, crash isolation).
-        Pass ``pool=`` (a warm :class:`~repro.exec.pool.WorkerPool`) to
-        amortize worker spawn + import across many sweeps — the CLI shares
-        one pool across all ``--strategy`` curves this way.  Point ``i``
-        derives its frame streams from ``SeedSequence(seed, spawn_key=(i,))``
-        regardless of sharding.
-        """
-        from repro.exec.engine import ParallelSweepEngine
-
-        point_jobs = [
+    def point_jobs(
+        self, strategy: str, snr_points_db: Sequence[float], n_frames: int, seed: int = 0
+    ) -> list["LinkPointJob"]:
+        """One :class:`LinkPointJob` per SNR point, checked before any runs;
+        point ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``."""
+        if n_frames < 1:
+            raise ValueError("n_frames must be >= 1")
+        return [
             LinkPointJob(
                 job_id=f"p{i:03d}@snr{float(snr_db):+.2f}",
                 strategy=strategy,
@@ -441,16 +440,40 @@ class LinkSimulationEngine:
             )
             for i, snr_db in enumerate(snr_points_db)
         ]
+
+    def run_points(
+        self,
+        point_jobs: Sequence["LinkPointJob"],
+        jobs: int = 0,
+        timeout_s: Optional[float] = None,
+        retries: int = 1,
+        backoff_s: float = 0.05,
+        pool=None,
+    ) -> list[LinkResult]:
+        """Run point jobs (one strategy's curve), pulled by workers.
+
+        ``jobs=0`` runs serially in-process through the very same
+        :class:`LinkPointJob` code path the workers execute, so serial and
+        parallel sweeps are field-identical; ``jobs>=1`` reuses the
+        :class:`~repro.exec.engine.ParallelSweepEngine` scheduler (per-job
+        timeout, bounded retry with exponential backoff, crash isolation).
+        Pass ``pool=`` (a warm :class:`~repro.exec.pool.WorkerPool`) to
+        amortize worker spawn + import across many sweeps — the CLI shares
+        one pool across all ``--strategy`` curves this way.
+        """
+        from repro.exec.engine import ParallelSweepEngine
+
+        strategies = ",".join(sorted({job.strategy for job in point_jobs}))
         sweep = ParallelSweepEngine(
             jobs=jobs,
             timeout_s=timeout_s,
             retries=retries,
             backoff_s=backoff_s,
-            sweep_name=f"linklevel:{strategy}",
+            sweep_name=f"linklevel:{strategies}",
             pool=pool,
         )
         try:
-            report = sweep.run(point_jobs)
+            report = sweep.run(list(point_jobs))
         finally:
             if pool is None:
                 sweep.close()

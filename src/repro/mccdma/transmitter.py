@@ -31,6 +31,8 @@ class MCCDMAConfig:
     frame: FrameConfig = field(default_factory=FrameConfig)
 
     def __post_init__(self) -> None:
+        if not self.user_codes:
+            raise ValueError("user_codes must name at least one Walsh-code user")
         if self.n_subcarriers % self.spread_length:
             raise ValueError(
                 f"{self.spread_length}-chip codes do not tile {self.n_subcarriers} subcarriers"

@@ -43,6 +43,7 @@ __all__ = [
     "DEFAULT_HISTORY_PATH",
     "HEADLINES",
     "HistoryEntry",
+    "HistoryError",
     "CheckResult",
     "host_fingerprint",
     "extract_headline",
@@ -100,6 +101,10 @@ HEADLINES: dict[str, tuple[str, Union[str, Callable[[Mapping], float]], bool, st
     "search_anneal": ("evaluations_per_sec", _search_headline, True, "evals/s"),
     "sweep_parallel": ("grid_speedup", _sweep_headline, True, "x"),
 }
+
+
+class HistoryError(ValueError):
+    """A history file, or a gate setting, that the gate cannot use."""
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,8 @@ def load_history(path: Union[str, Path]) -> list[HistoryEntry]:
                 continue
             try:
                 entries.append(HistoryEntry.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed history entry: {exc}")
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise HistoryError(f"{path}:{lineno}: malformed history entry: {exc!r}") from None
     return entries
 
 
@@ -293,7 +298,7 @@ def bench_check(
     baseline by more than ``threshold_pct`` percent, direction-aware.
     """
     if threshold_pct < 0:
-        raise ValueError("threshold_pct must be >= 0")
+        raise HistoryError(f"threshold_pct must be >= 0, got {threshold_pct:g}")
     wanted = set(benches) if benches is not None else None
     lineages: dict[tuple[str, str, bool], list[HistoryEntry]] = {}
     for entry in load_history(path):

@@ -25,7 +25,6 @@ from repro.runtime.fast import FastRunStats, simulate_fast_fleet, vector_mode
 from repro.runtime.fleet import (
     ENGINES,
     FleetConfig,
-    FleetJob,
     FleetReport,
     generate_fleet_schedules,
     run_fleet,
@@ -53,7 +52,6 @@ __all__ = [
     "ENGINES",
     "FastRunStats",
     "FleetConfig",
-    "FleetJob",
     "FleetReport",
     "generate_fleet_schedules",
     "run_fleet",

@@ -38,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -62,7 +62,6 @@ __all__ = [
     "ENGINES",
     "FleetConfig",
     "FleetReport",
-    "FleetJob",
     "FleetTelemetryRecorder",
     "generate_fleet_schedules",
     "run_fleet",
@@ -120,11 +119,6 @@ class FleetConfig:
             f"R{r}": [f"m{m}" for m in range(self.modules_per_region)]
             for r in range(self.regions)
         }
-
-    def fingerprint(self) -> str:
-        """Content hash over *every* config field (the sweep-cache identity)."""
-        payload = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()
 
 
 @dataclass
@@ -629,30 +623,3 @@ def run_frontier(
             telemetry=telemetry,
         )
     return reports
-
-
-@dataclass(frozen=True)
-class FleetJob:
-    """A fleet run as a sweep-engine job (plugs into ParallelSweepEngine).
-
-    The engine dispatches on ``execute()`` generically, so fleet points can
-    ride the existing process-pool machinery alongside placement sweeps.
-    """
-
-    config: FleetConfig
-
-    @property
-    def job_id(self) -> str:
-        # The human-readable prefix aids log scanning; the fingerprint
-        # covers *every* config field (regions, slots, architecture,
-        # mean gap, engine, ...) so distinct configs never collide in the
-        # sweep-engine cache.
-        c = self.config
-        return (
-            f"fleet-{c.policy}-{c.traffic}-{c.n_boards}x{c.requests_per_board}"
-            f"-seed{c.seed}-{c.fingerprint()[:12]}"
-        )
-
-    def execute(self, attempt: int = 0, cache=None) -> dict:
-        report = run_fleet(self.config)
-        return report.to_dict()

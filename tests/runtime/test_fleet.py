@@ -9,7 +9,6 @@ from repro.reconfig import case_a_standalone
 from repro.runtime import (
     Board,
     FleetConfig,
-    FleetJob,
     board_rng,
     generate_fleet_schedules,
     generate_schedule,
@@ -122,35 +121,6 @@ def test_frontier_replays_identical_traffic():
 def test_unknown_policy_fails_before_building_the_fleet():
     with pytest.raises(ValueError, match="unknown policy"):
         run_fleet(dataclasses.replace(SMALL, policy="oracle"))
-
-
-def test_fleet_job_rides_the_sweep_engine_protocol():
-    job = FleetJob(config=dataclasses.replace(SMALL, n_boards=3))
-    config = job.config
-    assert job.job_id == (
-        f"fleet-history-poisson-3x30-seed11-{config.fingerprint()[:12]}"
-    )
-    result = job.execute()
-    assert result["n_boards"] == 3
-    assert result["digest"] == run_fleet(job.config).digest()
-
-
-def test_fleet_job_ids_cover_every_config_field():
-    """Configs differing only in fields the old id omitted (regions, slots,
-    architecture, mean gap, engine) must not collide in the sweep cache."""
-    base = dataclasses.replace(SMALL, n_boards=3)
-    variants = [
-        dataclasses.replace(base, regions=3),
-        dataclasses.replace(base, region_slots=2),
-        dataclasses.replace(base, architecture="case_b_processor"),
-        dataclasses.replace(base, mean_gap_ns=100_000),
-        dataclasses.replace(base, modules_per_region=5),
-        dataclasses.replace(base, bitstream_bytes=44_000),
-        dataclasses.replace(base, trace_boards=1),
-        dataclasses.replace(base, engine="kernel"),
-    ]
-    ids = {FleetJob(config=c).job_id for c in [base, *variants]}
-    assert len(ids) == len(variants) + 1
 
 
 def test_telemetry_never_perturbs_the_digest():

@@ -856,3 +856,128 @@ def test_bench_check_backfill_seeds_from_results_dir(tmp_path):
     assert code == 0
     assert "backfilled 1 entries" in text
     assert "no prior entries" in text  # single entry: insufficient history
+
+
+# -- one output contract ----------------------------------------------------
+
+
+def test_parser_choices_match_their_registries():
+    """The parser's static choices mirror the registries it must not import."""
+    from repro import cli, reconfig, runtime
+
+    assert cli._POLICIES == tuple(runtime.policy_names())
+    assert cli._ONLINE_POLICIES == tuple(runtime.policy_names(include_future=False))
+    assert cli._ENGINES == runtime.ENGINES
+    assert cli._TRAFFIC_PATTERNS == runtime.TRAFFIC_PATTERNS
+    for name, constructor in cli._ARCHITECTURES.items():
+        assert getattr(reconfig, constructor)().name == constructor, name
+
+
+def _history_rows(path, values):
+    import json
+
+    row = {
+        "schema": 1, "bench": "fleet_throughput", "metric": "fast.requests_per_sec",
+        "higher_is_better": True, "unit": "req/s", "smoke": False,
+        "recorded_at": "2026-08-09T00:00:00+00:00", "host": {}, "detail": {},
+    }
+    path.write_text("".join(json.dumps({**row, "value": v}) + "\n" for v in values))
+
+
+def _contract_inputs(root):
+    """Fresh input files for one run: histories, a results dir for backfill."""
+    import json
+
+    root.mkdir()
+    _history_rows(root / "ok.jsonl", (100.0, 101.0, 99.0, 100.0))
+    _history_rows(root / "regressed.jsonl", (100.0, 101.0, 99.0, 100.0, 80.0))
+    (root / "results").mkdir()
+    (root / "results" / "BENCH_fleet_throughput.json").write_text(
+        json.dumps({"headline": {"fast": {"requests_per_sec": 50.0}}})
+    )
+    return root
+
+
+_FLEET = "fleet --boards 3 --requests 10 --policy none,lru"
+_JSON_COMMANDS = {
+    "flow": "flow",
+    "sweep": "sweep --jobs 0 --devices xc2v1000 --architectures case_a",
+    "linklevel": "linklevel --snr 4 --frames 8 --batch 4 --strategies qpsk",
+    "search": "search --budget 10",
+    "fleet": _FLEET,
+    "bench-check": "bench-check --history {dir}/ok.jsonl",
+}
+_STATUS_OPTIONS = {
+    "fleet-telemetry": _FLEET + " --telemetry {dir}/fleet.jsonl",
+    "fleet-live": _FLEET + " --live --ascii",
+    "fleet-slo-breach": _FLEET + " --slo-hit-floor 1.01",
+    "bench-check-backfill": "bench-check --backfill --results-dir {dir}/results "
+    "--history {dir}/new.jsonl --check-after-backfill",
+    "bench-check-regression": "bench-check --history {dir}/regressed.jsonl",
+}
+_VIEWS = {
+    "alone": "",
+    "profile": "--profile",
+    "log-json": "--log-json {dir}/rows.jsonl",
+    "trace": "--trace {dir}/run.json",
+}
+
+
+@pytest.mark.parametrize(
+    "view, command",
+    [(view, name) for view in _VIEWS for name in _JSON_COMMANDS]
+    + [("alone", name) for name in _STATUS_OPTIONS],
+)
+def test_json_stdout_is_one_document(view, command, tmp_path, capsys):
+    """Under ``--json`` stdout parses whatever else the run prints (profile
+    table, dashboard frames, ``wrote ...`` lines, the backfill note, the
+    regression count: all on stderr), and the exit code is text mode's."""
+    import json
+
+    argv = f"{_VIEWS[view]} {({**_JSON_COMMANDS, **_STATUS_OPTIONS})[command]}"
+    text_code = main(argv.format(dir=_contract_inputs(tmp_path / "text")).split())
+    capsys.readouterr()
+    json_code = main(argv.format(dir=_contract_inputs(tmp_path / "json")).split() + ["--json"])
+    json.loads(capsys.readouterr().out)
+    assert json_code == text_code
+
+
+_BAD_INPUT = [
+    "sweep --jobs -1",
+    "sweep --retries -1",
+    "sweep --timeout 0",
+    "linklevel --frames 0",
+    "linklevel --batch 0",
+    "linklevel --ci-halfwidth -1",
+    "linklevel --users 0 --snr 4 --frames 8 --strategies qpsk",
+    "search --budget 0",
+    "search --restarts 0",
+    "search --groups 0",
+    "search --alternatives 1",
+    "search --max-regions 0",
+    "simulate -n 0",
+    "simulate --seed -1",
+    "trace -n 0",
+    "bench-check --threshold -5",
+    "bench-check --history {dir}/garbage.jsonl",
+    "bench-check --history {dir}/no-metric.jsonl",
+    "graph-dump --out /nonexistent_dir/g.json",
+    "vhdl --out /dev/null/x",
+    "fleet --boards 2 --requests 5 --policy none --telemetry /dev/null/x.jsonl",
+    "--log-json /nonexistent_dir/rows.jsonl flow",
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_INPUT)
+def test_bad_input_exits_two_with_an_error_line(argv, tmp_path, monkeypatch):
+    """A bad flag value or an unusable path is ``error: <message>`` and exit
+    2 (a regression exits 1), never a traceback."""
+    import json
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "garbage.jsonl").write_text("not json\n")
+    (tmp_path / "no-metric.jsonl").write_text(json.dumps({"bench": "x", "value": 1.0}) + "\n")
+    code, text = run_cli(*argv.format(dir=tmp_path).split())
+    assert code == 2
+    assert any(line.startswith("error: ") for line in text.splitlines())
+    assert "Traceback" not in text

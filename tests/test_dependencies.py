@@ -23,6 +23,14 @@ print(json.dumps(sorted({{name.split(".")[1] for name in sys.modules if name.sta
 """
 
 
+_CLI_PARSER = """
+import json, sys
+import repro.cli
+repro.cli.build_parser()
+print(json.dumps(sorted(name for name in sys.modules if name == "numpy" or name.startswith("repro."))))
+"""
+
+
 def _run(snippet: str) -> list:
     src = pathlib.Path(repro.__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -38,6 +46,12 @@ def _run(snippet: str) -> list:
 
 def test_no_networkx_or_scipy_at_runtime():
     assert _run(_SNIPPET) == []
+
+
+def test_cli_parser_loads_no_layer():
+    """``repro --help`` pays for Python and argparse only: a subcommand's
+    layers (numpy and ``repro.flows`` among them) load when it runs."""
+    assert _run(_CLI_PARSER) == ["repro.cli"]
 
 
 @pytest.mark.parametrize(
