@@ -312,6 +312,7 @@ def _parse_snr_grid(spec: str) -> list[float]:
 
 
 def _cmd_linklevel(args, status) -> _Result:
+    from repro.exec.engine import ParallelSweepEngine
     from repro.mccdma.engine import LinkEngineConfig, LinkSimulationEngine
     from repro.mccdma.transmitter import MCCDMAConfig
 
@@ -335,6 +336,9 @@ def _cmd_linklevel(args, status) -> _Result:
             strategy: engine.point_jobs(strategy, snr_points, args.frames, seed=args.seed)
             for strategy in strategies
         }
+        # Each curve builds its own sweep engine; this one, which starts no
+        # worker, checks --jobs and --timeout before any pool or point does.
+        ParallelSweepEngine(jobs=args.jobs, timeout_s=args.timeout)
     report: dict[str, list[dict]] = {}
     with ExitStack() as stack:
         pool = None
@@ -580,6 +584,8 @@ def _cmd_tail(args, status) -> _Result:
     from repro.obs.dashboard import render_dashboard
     from repro.obs.telemetry import SloMonitor, TimeSeriesStore
 
+    if args.follow and args.interval < 0:
+        raise _BadInput(f"interval must be >= 0, got {args.interval:g}")
     path = pathlib.Path(args.path)
     last_size = -1
     while True:

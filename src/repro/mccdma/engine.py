@@ -425,6 +425,8 @@ class LinkSimulationEngine:
         point ``i`` draws from ``SeedSequence(seed, spawn_key=(i,))``."""
         if n_frames < 1:
             raise ValueError("n_frames must be >= 1")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         return [
             LinkPointJob(
                 job_id=f"p{i:03d}@snr{float(snr_db):+.2f}",

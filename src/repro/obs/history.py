@@ -347,7 +347,8 @@ def backfill(
     Replays each file through the same :data:`HEADLINES` extractors the
     live path uses.  With ``skip_existing`` (the default), lineages that
     already have history are left alone so re-running backfill is
-    idempotent.
+    idempotent.  Every file is read before any entry is appended, so a
+    malformed one (:class:`HistoryError`) leaves the history untouched.
     """
     results_dir = Path(results_dir)
     existing = {
@@ -356,15 +357,17 @@ def backfill(
     appended = []
     for path in sorted(results_dir.glob("BENCH_*.json")):
         bench = path.stem[len("BENCH_"):]
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        entry = extract_headline(bench, payload)
+        try:
+            entry = extract_headline(bench, json.loads(path.read_text(encoding="utf-8")))
+        except (ValueError, LookupError, TypeError, AttributeError, ArithmeticError) as exc:
+            raise HistoryError(f"{path}: malformed bench result: {exc!r}") from None
         if entry is None:
             continue
         if skip_existing and (entry.bench, entry.metric, entry.smoke) in existing:
             continue
         row = entry.to_dict()
         row["detail"]["backfilled_from"] = path.name
-        entry = HistoryEntry.from_dict(row)
+        appended.append(HistoryEntry.from_dict(row))
+    for entry in appended:
         append_entry(history_path, entry)
-        appended.append(entry)
     return appended

@@ -84,6 +84,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if not 0.0 < self.cooling < 1.0:

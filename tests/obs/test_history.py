@@ -14,7 +14,7 @@ from repro.obs import (
     extract_headline,
     load_history,
 )
-from repro.obs.history import HEADLINES, append_entry, host_fingerprint
+from repro.obs.history import HEADLINES, HistoryError, append_entry, host_fingerprint
 
 
 def _entry(value, bench="fleet_throughput", metric="fast.requests_per_sec",
@@ -153,6 +153,28 @@ def test_backfill_seeds_from_bench_json_and_is_idempotent(tmp_path):
 
     assert backfill(results_dir, history) == []  # second run: no duplicates
     assert len(load_history(history)) == 1
+
+
+def test_backfill_rejects_a_malformed_result_before_appending(tmp_path):
+    """A garbage ``BENCH_*.json`` is a HistoryError (bad input), and the
+    files read before it append nothing."""
+    results_dir = tmp_path / "results"
+    results_dir.mkdir()
+    (results_dir / "BENCH_fleet_throughput.json").write_text(
+        json.dumps({"headline": {"fast": {"requests_per_sec": 55.0}}}),
+        encoding="utf-8",
+    )
+    (results_dir / "BENCH_search_anneal.json").write_text(
+        json.dumps({"evaluations": 10, "wall_s": 0}), encoding="utf-8"
+    )
+    (results_dir / "BENCH_zz.json").write_text("not json", encoding="utf-8")
+    history = tmp_path / "HISTORY.jsonl"
+    with pytest.raises(HistoryError, match="BENCH_search_anneal.json"):
+        backfill(results_dir, history)
+    (results_dir / "BENCH_search_anneal.json").unlink()
+    with pytest.raises(HistoryError, match="BENCH_zz.json"):
+        backfill(results_dir, history)
+    assert not history.exists()
 
 
 def test_committed_results_backfill_cleanly_and_pass_the_gate(tmp_path):

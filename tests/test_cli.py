@@ -913,6 +913,9 @@ _STATUS_OPTIONS = {
     "fleet-slo-breach": _FLEET + " --slo-hit-floor 1.01",
     "bench-check-backfill": "bench-check --backfill --results-dir {dir}/results "
     "--history {dir}/new.jsonl --check-after-backfill",
+    # without the gate, the document is the list of backfilled entries
+    "bench-check-backfill-only": "bench-check --backfill --results-dir {dir}/results "
+    "--history {dir}/new.jsonl",
     "bench-check-regression": "bench-check --history {dir}/regressed.jsonl",
 }
 _VIEWS = {
@@ -950,17 +953,24 @@ _BAD_INPUT = [
     "linklevel --batch 0",
     "linklevel --ci-halfwidth -1",
     "linklevel --users 0 --snr 4 --frames 8 --strategies qpsk",
+    "linklevel --jobs -1 --snr 4 --frames 8 --strategies qpsk",
+    "linklevel --timeout 0 --snr 4 --frames 8 --strategies qpsk",
+    "linklevel --jobs 2 --timeout 0 --snr 4 --frames 8",
+    "linklevel --seed -1 --snr 4 --frames 8 --strategies qpsk",
     "search --budget 0",
     "search --restarts 0",
     "search --groups 0",
     "search --alternatives 1",
     "search --max-regions 0",
+    "search --seed -1",
     "simulate -n 0",
     "simulate --seed -1",
     "trace -n 0",
     "bench-check --threshold -5",
     "bench-check --history {dir}/garbage.jsonl",
     "bench-check --history {dir}/no-metric.jsonl",
+    "bench-check --backfill --results-dir {dir}/bad-results --history {dir}/new.jsonl",
+    "tail --follow --interval -1 {dir}/missing.jsonl",
     "graph-dump --out /nonexistent_dir/g.json",
     "vhdl --out /dev/null/x",
     "fleet --boards 2 --requests 5 --policy none --telemetry /dev/null/x.jsonl",
@@ -977,6 +987,8 @@ def test_bad_input_exits_two_with_an_error_line(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "garbage.jsonl").write_text("not json\n")
     (tmp_path / "no-metric.jsonl").write_text(json.dumps({"bench": "x", "value": 1.0}) + "\n")
+    (tmp_path / "bad-results").mkdir()
+    (tmp_path / "bad-results" / "BENCH_fleet_throughput.json").write_text("not json")
     code, text = run_cli(*argv.format(dir=tmp_path).split())
     assert code == 2
     assert any(line.startswith("error: ") for line in text.splitlines())
